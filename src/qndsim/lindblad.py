@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import _io
-from .cavity import photon_number_spectrum, susceptibility
+from .cavity import susceptibility
 from .fock import (
     DensityMatrix,
     FockOperator,
@@ -33,7 +33,7 @@ from .fock import (
     product_state,
     tensor,
 )
-from .rates import number_dephasing_weight
+from .rates import channel_coefficients, number_dephasing_weight
 from .system import SystemParams
 
 # Frozen channel order of the reduced generator.
@@ -232,19 +232,9 @@ def reduced_generator(params: SystemParams, dim: int) -> LindbladGenerator:
     b, bdag, n_op = ladder(dim)
     bb, bdbd = b @ b, bdag @ bdag
 
-    def s_nn(omega):
-        return photon_number_spectrum(omega, p.delta, p.kappa, p.nbar_photon)
-
     g1sq, g2sq = p.g1 * p.g1, p.g2 * p.g2
-    weights = {
-        "thermal_up": p.gamma_m * p.nbar_th,
-        "thermal_down": p.gamma_m * (p.nbar_th + 1.0),
-        "opt_up1": g1sq * s_nn(-p.omega_m),
-        "opt_down1": g1sq * s_nn(p.omega_m),
-        "opt_up2": (g2sq / 4.0) * s_nn(-2.0 * p.omega_m),
-        "opt_down2": (g2sq / 4.0) * s_nn(2.0 * p.omega_m),
-        "dephasing": number_dephasing_weight(p),
-    }
+    weights = dict(zip(REDUCED_CHANNELS, channel_coefficients(p).tolist()))
+    weights["dephasing"] = number_dephasing_weight(p)
     operators = {
         "thermal_up": bdag,
         "thermal_down": b,

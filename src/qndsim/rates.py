@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cavity import photon_number_spectrum
 from .system import SystemParams, cooperativities
 
@@ -94,21 +96,48 @@ class FeasibilityReport:
     ok: bool
 
 
-def transition_rates(params: SystemParams, n: int) -> RateSet:
-    """Jump rates out of Fock state n (exact Lorentzian forms)."""
-    if n < 0:
-        raise ValueError("Fock index must be non-negative")
+def channel_coefficients(params: SystemParams) -> np.ndarray:
+    """Six per-state rate coefficients in frozen channel order.
+
+    Channels: thermal up/down, one-phonon optical up/down, two-phonon
+    optical up/down. Rates at state n are coeff * (n+1), *n, *(n+1), *n,
+    *(n+1)(n+2), *n(n-1) respectively. This is the one float statement
+    of the channel weights; the samplers, the reduced generator and
+    :func:`transition_rates` all take them from here.
+    """
     p = params
-    g1sq, g2sq = p.g1 * p.g1, p.g2 * p.g2
 
     def s_nn(omega):
         return photon_number_spectrum(omega, p.delta, p.kappa, p.nbar_photon)
 
-    up1 = (n + 1) * g1sq * s_nn(-p.omega_m)
-    down1 = n * g1sq * s_nn(p.omega_m)
-    up2 = (n + 1) * (n + 2) * (g2sq / 4.0) * s_nn(-2.0 * p.omega_m)
-    down2 = n * (n - 1) * (g2sq / 4.0) * s_nn(2.0 * p.omega_m)
-    th = p.gamma_m * ((p.nbar_th + 1.0) * n + p.nbar_th * (n + 1))
+    g1sq, g2sq = p.g1 * p.g1, p.g2 * p.g2
+    return np.array(
+        [
+            p.gamma_m * p.nbar_th,
+            p.gamma_m * (p.nbar_th + 1.0),
+            g1sq * s_nn(-p.omega_m),
+            g1sq * s_nn(p.omega_m),
+            (g2sq / 4.0) * s_nn(-2.0 * p.omega_m),
+            (g2sq / 4.0) * s_nn(2.0 * p.omega_m),
+        ]
+    )
+
+
+def transition_rates(params: SystemParams, n: int) -> RateSet:
+    """Jump rates out of Fock state n (exact Lorentzian forms).
+
+    Coefficient times multiplicity, grouped as the jump-chain kernels
+    group it, so these are exactly the rates the sampler draws from.
+    """
+    if n < 0:
+        raise ValueError("Fock index must be non-negative")
+    th_up, th_dn, a1, b1, a2, b2 = channel_coefficients(params).tolist()
+    fn = float(n)
+    up1 = a1 * (fn + 1.0)
+    down1 = b1 * fn
+    up2 = a2 * (fn + 1.0) * (fn + 2.0)
+    down2 = b2 * fn * (fn - 1.0)
+    th = th_up * (fn + 1.0) + th_dn * fn
     return RateSet(
         n=n,
         gamma_up1=up1,
@@ -116,8 +145,8 @@ def transition_rates(params: SystemParams, n: int) -> RateSet:
         gamma_up2=up2,
         gamma_down2=down2,
         gamma_th=th,
-        gamma_meas=measurement_rate(p),
-        total_decoherence=up1 + down1 + up2 + down2 + th,
+        gamma_meas=measurement_rate(params),
+        total_decoherence=th + up1 + down1 + up2 + down2,
     )
 
 

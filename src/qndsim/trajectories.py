@@ -25,10 +25,9 @@ from scipy.optimize import brentq
 
 from . import _io
 from ._kernels import get_backend
-from .cavity import photon_number_spectrum
 from .fock import suggest_dim
 from .lindblad import LindbladGenerator
-from .rates import measurement_to_thermal_ratio
+from .rates import channel_coefficients, measurement_to_thermal_ratio
 from .system import SystemParams
 
 # Event channels, frozen order; deltas give the phonon-number change.
@@ -41,6 +40,7 @@ CHANNELS = (
     "opt_down2",
 )
 CHANNEL_DELTAS = (1, -1, 1, -1, 2, -2)
+_DELTAS = np.array(CHANNEL_DELTAS)
 _CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNELS)}
 _DELTA_TO_CHANNEL = {1: 0, -1: 1, 2: 4, -2: 5}
 
@@ -88,37 +88,45 @@ class Trajectory:
     def n_events(self) -> int:
         return len(self.times)
 
+    def segments(self):
+        """The record's stays as parallel arrays (state, dwell_s, end_channel).
+
+        Stay k holds ``state[k]`` for ``dwell_s[k]`` seconds and ends
+        through channel ``end_channel[k]``; the last stay is the open one
+        that runs to ``t_final``, marked with end channel -1.
+        """
+        states = np.concatenate(([self.initial_n], self.new_ns)).astype(np.int64)
+        dwell = np.diff(np.concatenate(([0.0], self.times, [self.t_final])))
+        ends = np.concatenate((self.channels, [-1])).astype(np.int64)
+        return states, dwell, ends
+
     def validate(self) -> "Trajectory":
         """Check the event-record invariants; raises on violation."""
         if len(self.times) != len(self.new_ns) or len(self.times) != len(
             self.channels
         ):
             raise ValueError("event arrays must have equal length")
-        if self.n_events:
-            if not np.all(np.diff(self.times) > 0):
-                raise ValueError("event times must be strictly increasing")
-            if self.times[0] <= 0 or self.times[-1] > self.t_final:
-                raise ValueError("event times must lie in (0, t_final]")
-        n = self.initial_n
-        for k in range(self.n_events):
-            n = n + CHANNEL_DELTAS[int(self.channels[k])]
-            if n != int(self.new_ns[k]):
-                raise ValueError("state sequence inconsistent with channels")
-            if n < 0:
-                raise ValueError("negative phonon number in record")
+        states, dwell, ends = self.segments()
+        if not np.all(dwell[1:-1] > 0):
+            raise ValueError("event times must be strictly increasing")
+        if self.n_events and (dwell[0] <= 0 or dwell[-1] < 0):
+            raise ValueError("event times must lie in (0, t_final]")
+        chans = ends[:-1]
+        bad = chans[(chans < 0) | (chans >= len(CHANNELS))]
+        if len(bad):
+            raise ValueError("channel index %d outside 0..5" % bad[0])
+        if np.any(states[1:] != states[:-1] + _DELTAS[chans]):
+            raise ValueError("state sequence inconsistent with channels")
+        if np.any(states < 0):
+            raise ValueError("negative phonon number in record")
         return self
 
     def occupancy_times(self, n_states: int) -> np.ndarray:
         """Total time spent in each state 0..n_states-1."""
+        states, dwell, _ = self.segments()
+        keep = states < n_states
         out = np.zeros(n_states)
-        t_prev, s = 0.0, self.initial_n
-        for k in range(self.n_events):
-            t = float(self.times[k])
-            if s < n_states:
-                out[s] += t - t_prev
-            t_prev, s = t, int(self.new_ns[k])
-        if s < n_states:
-            out[s] += self.t_final - t_prev
+        np.add.at(out, states[keep], dwell[keep])
         return out
 
     def boxcar(self, window: float):
@@ -145,30 +153,6 @@ class Trajectory:
         centers = (np.arange(n_bins) + 0.5) * window
         centers[-1] = ((n_bins - 1) * window + self.t_final) / 2.0
         return centers, integral / widths
-
-
-def channel_coefficients(params: SystemParams) -> np.ndarray:
-    """Six per-state rate coefficients in frozen channel order.
-
-    Rates at state n are coeff * (n+1), *n, *(n+1), *n, *(n+1)(n+2),
-    *n(n-1) respectively.
-    """
-    p = params
-
-    def s_nn(omega):
-        return photon_number_spectrum(omega, p.delta, p.kappa, p.nbar_photon)
-
-    g1sq, g2sq = p.g1 * p.g1, p.g2 * p.g2
-    return np.array(
-        [
-            p.gamma_m * p.nbar_th,
-            p.gamma_m * (p.nbar_th + 1.0),
-            g1sq * s_nn(-p.omega_m),
-            g1sq * s_nn(p.omega_m),
-            (g2sq / 4.0) * s_nn(-2.0 * p.omega_m),
-            (g2sq / 4.0) * s_nn(2.0 * p.omega_m),
-        ]
-    )
 
 
 def default_n_cap(params: SystemParams) -> int:
@@ -531,23 +515,6 @@ class EnsembleStats:
         _io.write_json(path, self.to_json_dict(), meta=meta)
 
 
-def _accumulate(traj: Trajectory, counts, time_in, completed, visits):
-    n_states = len(time_in)
-    t_prev, s = 0.0, traj.initial_n
-    for k in range(traj.n_events):
-        t = float(traj.times[k])
-        ch = int(traj.channels[k])
-        if s < n_states:
-            time_in[s] += t - t_prev
-            completed[s] += t - t_prev
-            counts[s, ch] += 1
-            visits[s] += 1
-        t_prev, s = t, int(traj.new_ns[k])
-    if s < n_states:
-        time_in[s] += traj.t_final - t_prev
-        visits[s] += 1
-
-
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, else QND_THREADS (0 = auto)."""
     if threads is None:
@@ -623,7 +590,16 @@ def ensemble(
     visits = np.zeros(cap, dtype=np.int64)
     nulls = 0
     for traj in trajs:
-        _accumulate(traj, counts, time_in, completed, visits)
+        # unbuffered, in-order np.add.at adds each stay in record order, so
+        # the float sums are those of a per-event walk, bit for bit
+        states, dwell, ends = traj.segments()
+        keep = states < cap
+        s, d, c = states[keep], dwell[keep], ends[keep]
+        np.add.at(time_in, s, d)
+        np.add.at(visits, s, 1)
+        done = c >= 0
+        np.add.at(completed, s[done], d[done])
+        np.add.at(counts, (s[done], c[done]), 1)
         nulls += traj.null_jumps
     meta.update(
         {

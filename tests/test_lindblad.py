@@ -25,7 +25,7 @@ from qndsim.lindblad import (
     reduced_generator,
     steady_state,
 )
-from qndsim.rates import transition_rates
+from qndsim.rates import channel_coefficients, transition_rates
 
 from conftest import make_ref
 
@@ -50,6 +50,12 @@ class TestReducedGenerator:
         gen = reduced_generator(ref_params, 8)
         assert gen.labels == REDUCED_CHANNELS
         assert len(gen.channels) == 7
+
+    def test_weights_are_the_channel_coefficients(self, ref_params):
+        # the six jump weights come from the one float statement, exactly
+        for p in (ref_params, make_ref(delta_hz=3e8, nbar_th=3.0)):
+            weights = [w for _, w in reduced_generator(p, 8).channels]
+            assert weights[:6] == channel_coefficients(p).tolist()
 
     def test_diagonal_restriction_is_the_rate_matrix(self, ref_params):
         # acting on |n><n| must reproduce the analytic birth-death(+2)

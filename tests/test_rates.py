@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qndsim.constants import TWO_PI
 from qndsim.rates import (
     CHECK_NAMES,
+    channel_coefficients,
     feasibility,
     ground_state_rates,
     max_monitorable_state,
@@ -18,6 +19,7 @@ from qndsim.rates import (
     rate_table,
     transition_rates,
 )
+from qndsim.trajectories import default_n_cap
 
 from conftest import make_ref
 
@@ -79,6 +81,38 @@ class TestTransitionRates:
             r.gamma_up1 + r.gamma_down1 + r.gamma_up2 + r.gamma_down2 + r.gamma_th
         )
         assert r.total_decoherence == pytest.approx(total, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # acceptance criterion 4: two-phonon sideband point
+            dict(
+                omega_m_hz=800.0, kappa_hz=400.0, delta_hz=1600.0, g1_hz=280.0,
+                g2_hz=150.0, gamma_m_hz=200.0, nbar_th=0.005, nbar_photon=1.0,
+            ),
+            dict(delta_hz=3e8, nbar_th=3.0),
+        ],
+    )
+    def test_rates_are_the_kernel_expressions(self, overrides):
+        # bit for bit the rates the jump-chain kernels draw from
+        p = make_ref(**overrides)
+        c = channel_coefficients(p).tolist()
+        for n in range(default_n_cap(p) + 1):
+            fn = float(n)
+            r0 = c[0] * (fn + 1.0)
+            r1 = c[1] * fn
+            r2 = c[2] * (fn + 1.0)
+            r3 = c[3] * fn
+            r4 = c[4] * (fn + 1.0) * (fn + 2.0)
+            r5 = c[5] * fn * (fn - 1.0)
+            r = transition_rates(p, n)
+            assert r.gamma_th == r0 + r1, n
+            assert r.gamma_up1 == r2, n
+            assert r.gamma_down1 == r3, n
+            assert r.gamma_up2 == r4, n
+            assert r.gamma_down2 == r5, n
+            assert r.total_decoherence == r0 + r1 + r2 + r3 + r4 + r5, n
 
     @given(n=st.integers(0, 50), nbar=st.floats(1.0, 1e4))
     @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from qndsim import trajectories
 from qndsim.constants import TWO_PI
 from qndsim.fock import ladder
 from qndsim.lindblad import LindbladGenerator, evolve, reduced_generator
@@ -187,6 +188,90 @@ class TestTrajectoryRecord:
         )
         with pytest.raises(ValueError, match="t_final"):
             bad.validate()
+        for ch in (-1, 7):  # -1 would index CHANNEL_DELTAS from the end
+            bad = Trajectory(
+                seed=0,
+                initial_n=2,
+                t_final=4.0,
+                times=np.array([1.0]),
+                new_ns=np.array([0]),
+                channels=np.array([ch]),
+            )
+            with pytest.raises(ValueError, match="channel index %d" % ch):
+                bad.validate()
+
+
+def walk_reduce(trajs, n_states):
+    """Reference reduction: the per-event stay walk, one event at a time."""
+    counts = np.zeros((n_states, len(CHANNELS)), dtype=np.int64)
+    time_in = np.zeros(n_states)
+    completed = np.zeros(n_states)
+    visits = np.zeros(n_states, dtype=np.int64)
+    for traj in trajs:
+        t_prev, s = 0.0, traj.initial_n
+        for k in range(traj.n_events):
+            t = float(traj.times[k])
+            if s < n_states:
+                time_in[s] += t - t_prev
+                completed[s] += t - t_prev
+                counts[s, int(traj.channels[k])] += 1
+                visits[s] += 1
+            t_prev, s = t, int(traj.new_ns[k])
+        if s < n_states:
+            time_in[s] += traj.t_final - t_prev
+            visits[s] += 1
+    return counts, time_in, completed, visits
+
+
+class TestStayReduction:
+    """The segment-based reductions against the per-event walk, bit for bit."""
+
+    def assert_matches_walk(self, stats, trajs):
+        counts, time_in, completed, visits = walk_reduce(trajs, len(stats.visits))
+        assert np.array_equal(stats.counts, counts)
+        assert np.array_equal(stats.visits, visits)
+        assert stats.time_in_state.tobytes() == time_in.tobytes()
+        assert stats.completed_dwell.tobytes() == completed.tobytes()
+        for traj in trajs:
+            occ = walk_reduce([traj], len(stats.visits))[1]
+            assert traj.occupancy_times(len(occ)).tobytes() == occ.tobytes()
+
+    def test_jump_chain_ensemble(self, ref_params):
+        stats, trajs = ensemble(
+            ref_params, 0, 0.05, 12, seed_base=3, return_trajectories=True
+        )
+        assert sum(t.n_events for t in trajs) > 1000
+        self.assert_matches_walk(stats, trajs)
+
+    def test_quantum_jump_ensemble_below_generator_dim(self):
+        # stays at or above n_cap = 3 are dropped, not clipped
+        gen = reduced_generator(make_ref(nbar_th=2.0), 10)
+        stats, trajs = ensemble(
+            gen, 1, 5e-4, 4, seed_base=17, n_cap=3, return_trajectories=True
+        )
+        assert max(int(t.new_ns.max()) for t in trajs if t.n_events) >= 3
+        self.assert_matches_walk(stats, trajs)
+
+    def test_float_typed_empty_record(self, ref_params, monkeypatch):
+        # a hand-built record: float event arrays, no events, open stay only
+        record = Trajectory(
+            seed=0,
+            initial_n=2,
+            t_final=2.5,
+            times=np.array([]),
+            new_ns=np.array([]),
+            channels=np.array([]),
+        )
+        states, dwell, ends = record.validate().segments()
+        assert states.tolist() == [2] and ends.tolist() == [-1]
+        assert dwell.tolist() == [2.5]
+        monkeypatch.setattr(
+            trajectories, "simulate_jump_trajectory", lambda *a, **k: record
+        )
+        stats, trajs = ensemble(
+            ref_params, 2, 2.5, 1, seed_base=0, return_trajectories=True
+        )
+        self.assert_matches_walk(stats, trajs)
 
 
 class TestEnsemble:

@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import splu
 
 from . import _io
 from .cavity import susceptibility
@@ -70,20 +72,21 @@ class LindbladGenerator:
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
         scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
-        if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
-            raise ValueError("hamiltonian must be Hermitian")
+        # a NaN or inf entry makes the difference NaN, which fails too
+        if not np.max(np.abs(h - h.conj().T)) <= 1e-12 * scale:
+            raise ValueError("hamiltonian must be finite and Hermitian")
         self.hamiltonian = h
         ops = []
         for op, w in self.channels:
-            if w < 0:
-                raise ValueError("channel weights must be non-negative")
+            if not (w >= 0 and math.isfinite(w)):
+                raise ValueError("channel weights must be non-negative and finite")
             m = op.entries if isinstance(op, FockOperator) else np.asarray(op, complex)
-            if m.shape != h.shape:
-                raise ValueError("channel operator shape mismatch")
+            if m.shape != h.shape or not np.all(np.isfinite(m)):
+                raise ValueError("channel operator must be finite, of H's shape")
             ops.append((m, float(w)))
         self.channels = ops
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        if not (self.time_scale > 0 and math.isfinite(self.time_scale)):
+            raise ValueError("time_scale must be positive and finite")
         if self.subsystem_dims is not None:
             dc, dm = self.subsystem_dims
             if dc * dm != h.shape[0]:
@@ -112,29 +115,34 @@ class LindbladGenerator:
     def __call__(self, rho) -> np.ndarray:
         return self.apply(rho)
 
-    def superoperator(self) -> np.ndarray:
-        """Dense matrix acting on row-major vectorized density matrices.
+    def superoperator(self) -> sparse.csr_matrix:
+        """Sparse CSR matrix (1/s) acting on row-major vectorized density matrices.
 
-        Built column-by-column through :meth:`apply`, so the dissipator
-        definition has a single home.
+        Built from vec(A r B) = (A kron B^T) vec(r), term by term as in
+        :meth:`apply`; zero-weight channels are skipped there and here.
         """
-        d = self.dim
-        basis = np.zeros((d, d), dtype=complex)
-        sup = np.empty((d * d, d * d), dtype=complex)
-        for a in range(d):
-            for b in range(d):
-                basis[a, b] = 1.0
-                sup[:, a * d + b] = self.apply(basis).reshape(-1)
-                basis[a, b] = 0.0
-        return sup
+        eye = sparse.identity(self.dim, dtype=complex, format="csr")
+        h = sparse.csr_matrix(self.hamiltonian)
+        sup = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+        for op, w in self.channels:
+            if w != 0.0:
+                o = sparse.csr_matrix(op)
+                oo = o.conj().T @ o
+                sup = sup + (w / 2.0) * (
+                    2.0 * sparse.kron(o, o.conj())
+                    - sparse.kron(oo, eye)
+                    - sparse.kron(eye, oo.T)
+                )
+        return sup.tocsr()
 
     def mech_populations(self, rho: np.ndarray) -> np.ndarray:
-        """Diagonal populations, marginalized over the cavity if bipartite."""
+        """Diagonal populations, marginalized over the cavity if bipartite;
+        ``rho`` may be one (d, d) matrix or a stack of shape (..., d, d)."""
         if self.subsystem_dims is None:
-            return np.real(np.diag(rho)).copy()
+            return np.real(np.einsum("...ii->...i", rho)).copy()
         dc, dm = self.subsystem_dims
-        r4 = rho.reshape(dc, dm, dc, dm)
-        return np.real(np.einsum("inin->n", r4)).copy()
+        r4 = rho.reshape(rho.shape[:-2] + (dc, dm, dc, dm))
+        return np.real(np.einsum("...inin->...n", r4)).copy()
 
 
 @dataclass
@@ -322,22 +330,18 @@ def evolve(
     renormalization is applied, trace drift shows up in the diagnostics.
     Raises on integrator stall, naming the stiffness ratio.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not (t_final > 0 and math.isfinite(t_final)):
+        raise ValueError("t_final must be positive and finite")
     if grid < 2:
         raise ValueError("need at least two grid points")
     r0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
     if r0.shape != (gen.dim, gen.dim):
         raise ValueError("initial state has wrong dimension")
     ts = gen.time_scale
-
-    def rhs(_tau, y):
-        rho = y.reshape(gen.dim, gen.dim)
-        return (gen.apply(rho) / ts).reshape(-1)
-
+    sup = gen.superoperator() / ts
     tau_grid = np.linspace(0.0, t_final * ts, grid)
     sol = solve_ivp(
-        rhs,
+        lambda _tau, y: sup @ y,
         (0.0, t_final * ts),
         r0.reshape(-1).astype(complex),
         method=method,
@@ -351,58 +355,45 @@ def evolve(
             "integration stalled; stiffness ratio (max channel weight x "
             "t_final) = %.3g: %s" % (w_max * t_final, sol.message)
         )
-    n_pts = sol.y.shape[1]
-    pops = np.empty((n_pts, gen.dim if gen.subsystem_dims is None
-                     else gen.subsystem_dims[1]))
-    tr_err = np.empty(n_pts)
-    he_err = np.empty(n_pts)
-    min_ev = np.empty(n_pts)
-    snaps = [] if store_states else None
-    for k in range(n_pts):
-        rho = sol.y[:, k].reshape(gen.dim, gen.dim)
-        pops[k] = gen.mech_populations(rho)
-        tr = np.trace(rho)
-        tr_err[k] = abs(tr - 1.0)
-        he_err[k] = float(np.max(np.abs(rho - rho.conj().T)))
-        herm = (rho + rho.conj().T) / 2.0
-        min_ev[k] = float(np.linalg.eigvalsh(herm)[0])
-        if store_states:
-            snaps.append(rho.copy())
+    rhos = sol.y.T.reshape(-1, gen.dim, gen.dim)
+    adj = rhos.conj().transpose(0, 2, 1)
     return EvolutionResult(
         times=sol.t / ts,
-        populations=pops,
-        trace_errors=tr_err,
-        hermiticity_errors=he_err,
-        min_eigenvalues=min_ev,
-        snapshots=snaps,
+        populations=gen.mech_populations(rhos),
+        trace_errors=np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0),
+        hermiticity_errors=np.max(np.abs(rhos - adj), axis=(1, 2)),
+        min_eigenvalues=np.linalg.eigvalsh((rhos + adj) / 2.0)[:, 0],
+        snapshots=list(rhos) if store_states else None,
         meta={"t_final_s": float(t_final), "grid": int(grid), "rtol": rtol},
     )
 
 
 def steady_state(gen: LindbladGenerator) -> DensityMatrix:
-    """Unique fixed point of the generator via its null space.
+    """Unique fixed point: sparse LU solve, trace row in place of row 0.
 
-    Raises when the null space is degenerate ("non-unique steady state").
-    The result satisfies gen(rho) = 0 to 1e-10 relative to the generator's
-    rate scale.
+    Raises "non-unique steady state" when the LU factors are singular or
+    their pivot gap min|U_ii| / max|U_ii| is below 1e-10. The result
+    satisfies gen(rho) = 0 to 1e-10 relative to the generator's rate scale.
     """
     d = gen.dim
     scale = gen.rate_scale()
-    sup = gen.superoperator() / scale
-    _u, s, vh = np.linalg.svd(sup)
-    tol = max(1e-10 * s[0], 1e-14)
-    null_count = int(np.sum(s < tol))
-    if null_count == 0:
-        raise ValueError("no steady state found at tolerance %g" % tol)
-    if null_count > 1:
-        raise ValueError("non-unique steady state (null space dimension %d)"
-                         % null_count)
-    rho = vh[-1].conj().reshape(d, d)
+    sup = (gen.superoperator() / scale).tolil()
+    sup[0, :] = 0.0
+    sup[0, np.arange(d) * (d + 1)] = 1.0
+    try:
+        lu = splu(sup.tocsc())
+        pivots = np.abs(lu.U.diagonal())
+        gap = pivots.min() / pivots.max()
+    except RuntimeError:  # splu: "Factor is exactly singular"
+        gap = 0.0
+    if gap < 1e-10:
+        raise ValueError("non-unique steady state (LU pivot gap %.3g below 1e-10)"
+                         % gap)
+    trace_one = np.zeros(d * d, dtype=complex)
+    trace_one[0] = 1.0
+    rho = lu.solve(trace_one).reshape(d, d)
     rho = (rho + rho.conj().T) / 2.0
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-10:
-        raise ValueError("non-unique steady state (traceless null vector)")
-    rho = rho / tr
+    rho = rho / np.trace(rho).real
     resid = np.max(np.abs(gen.apply(rho))) / scale
     if resid > 1e-10:
         raise ValueError("steady-state residual %.3g exceeds 1e-10" % resid)
@@ -430,6 +421,9 @@ def extract_transition_rate(
     """
     if not 0.0 <= t_start < t_final:
         raise ValueError("need 0 <= t_start < t_final")
+    levels = gen.dim if gen.subsystem_dims is None else gen.subsystem_dims[1]
+    if not 0 <= to_state < levels:
+        raise ValueError("to_state must lie in 0..%d" % (levels - 1))
     if gen.subsystem_dims is None:
         if not isinstance(from_state, (int, np.integer)):
             raise ValueError("phonon-only generator takes an integer from_state")

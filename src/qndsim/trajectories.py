@@ -177,8 +177,8 @@ def simulate_jump_trajectory(
     is drawn proportionally to its share. Raises TruncationError when the
     state reaches ``n_cap``.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not (t_final > 0 and math.isfinite(t_final)):
+        raise ValueError("t_final must be positive and finite")
     if n0 < 0:
         raise ValueError("initial state must be non-negative")
     cap = default_n_cap(params) if n_cap is None else int(n_cap)
@@ -232,8 +232,8 @@ def simulate_quantum_jump(
     ``null_jumps`` instead of the event arrays. Snapshots, when requested,
     are normalized states on the given time grid (seconds).
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not (t_final > 0 and math.isfinite(t_final)):
+        raise ValueError("t_final must be positive and finite")
     ts = gen.time_scale
     dim = gen.dim
     psi = np.asarray(psi0, dtype=complex).reshape(-1)

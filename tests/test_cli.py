@@ -127,6 +127,14 @@ class TestEvolve:
         assert code == 1
         assert "initial state" in capsys.readouterr().err
 
+    def test_non_finite_t_final_exits_one(self, ref_config, capsys):
+        code = main(
+            ["evolve", "--config", ref_config, "--initial", "fock:0",
+             "--t-final", "nan"]
+        )
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestTraject:
     def test_file_set_and_summary(self, ref_config, tmp_path, capsys):
@@ -167,6 +175,16 @@ class TestTraject:
         )
         assert code == 1
         assert "t-final" in capsys.readouterr().err
+
+    def test_non_finite_t_final_exits_one(self, ref_config, tmp_path, capsys):
+        for bad in ("nan", "inf"):
+            code = main(
+                ["traject", "--config", ref_config, "--count", "1",
+                 "--t-final", bad, "--out", str(tmp_path / "x")]
+            )
+            assert code == 1
+            assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
 
 class TestSweep:

@@ -36,6 +36,32 @@ def random_density(dim: int, rng) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def apply_superoperator(gen: LindbladGenerator) -> np.ndarray:
+    """Dense superoperator built column by column through ``gen.apply``."""
+    d = gen.dim
+    basis = np.zeros((d, d), dtype=complex)
+    sup = np.empty((d * d, d * d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            basis[a, b] = 1.0
+            sup[:, a * d + b] = gen.apply(basis).reshape(-1)
+            basis[a, b] = 0.0
+    return sup
+
+
+def random_generator(dim: int, rng) -> LindbladGenerator:
+    """Complex, non-symmetric operators: catches a lost transpose or conj."""
+    def cplx():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    h = cplx()
+    return LindbladGenerator(
+        hamiltonian=h + h.conj().T,
+        channels=[(cplx(), 0.7), (cplx(), 1.9)],
+        time_scale=1.0,
+    )
+
+
 class TestReducedGenerator:
     def test_channel_order_frozen(self, ref_params):
         assert REDUCED_CHANNELS == (
@@ -190,6 +216,43 @@ class TestGeneratorInvariants:
             LindbladGenerator(
                 hamiltonian=n_op.entries, channels=[(b, -1.0)], time_scale=1.0
             )  # negative weight
+        with pytest.raises(ValueError, match="weights"):
+            LindbladGenerator(
+                hamiltonian=n_op.entries, channels=[(b, math.nan)], time_scale=1.0
+            )
+        with pytest.raises(ValueError, match="time_scale"):
+            LindbladGenerator(
+                hamiltonian=n_op.entries, channels=[(b, 1.0)], time_scale=math.nan
+            )
+        h = n_op.entries.astype(complex)
+        h[2, 2] = math.nan
+        with pytest.raises(ValueError, match="hamiltonian"):
+            LindbladGenerator(hamiltonian=h, channels=[(b, 1.0)], time_scale=1.0)
+        o = b.entries.copy()
+        o[0, 1] = math.nan
+        with pytest.raises(ValueError, match="operator"):
+            LindbladGenerator(
+                hamiltonian=n_op.entries, channels=[(o, 1.0)], time_scale=1.0
+            )
+
+
+class TestSuperoperator:
+    @pytest.mark.parametrize(
+        "make_gen",
+        [
+            lambda: reduced_generator(make_ref(), 9),
+            lambda: reduced_generator(make_ref(delta_hz=2e9, nbar_th=3.0), 9),
+            lambda: bipartite_generator(make_ref(), 3, 4),
+            lambda: random_generator(5, np.random.default_rng(21)),
+        ],
+        ids=["reduced_reference", "reduced_sideband", "bipartite", "random"],
+    )
+    def test_kronecker_form_matches_apply(self, make_gen):
+        gen = make_gen()
+        sup = gen.superoperator()
+        assert sup.format == "csr"
+        err = np.max(np.abs(sup.toarray() - apply_superoperator(gen)))
+        assert err <= 1e-14 * gen.rate_scale()
 
 
 class TestBipartiteGenerator:
@@ -283,6 +346,28 @@ class TestEvolve:
             evolve(gen, fock_state(4, 0), 1.0, grid=1)
         with pytest.raises(ValueError):
             evolve(gen, fock_state(5, 0), 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                evolve(gen, fock_state(4, 0), bad)
+
+    def test_diagnostics_match_per_point_loop(self, ref_params):
+        gen = bipartite_generator(ref_params, 2, 3)
+        rho0 = product_state(fock_state(2, 0), fock_state(3, 1))
+        res = evolve(gen, rho0, 2e-9, grid=7, store_states=True)
+        # the batched reductions may round differently from the loop, by
+        # a few ulp of each quantity (the trace is 1, its ulp 2.2e-16)
+        for k, rho in enumerate(res.snapshots):
+            herm = (rho + rho.conj().T) / 2.0
+            assert np.array_equal(res.populations[k], gen.mech_populations(rho))
+            assert res.trace_errors[k] == pytest.approx(
+                abs(np.trace(rho) - 1.0), rel=1e-14, abs=1e-15
+            )
+            assert res.hermiticity_errors[k] == pytest.approx(
+                np.max(np.abs(rho - rho.conj().T)), rel=1e-14, abs=1e-15
+            )
+            assert res.min_eigenvalues[k] == pytest.approx(
+                np.linalg.eigvalsh(herm)[0], abs=1e-15
+            )
 
     def test_json_dict_shape(self, ref_params):
         gen = reduced_generator(ref_params, 4)
@@ -327,6 +412,24 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="non-unique"):
             steady_state(gen)
 
+    def test_numerically_degenerate_generator_rejected(self):
+        # two decaying blocks {0, 1} and {2, 3}, each with its own fixed
+        # point, seen in a random basis: no structural zero gives the
+        # degeneracy away, only the LU pivot gap does
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        low = np.zeros((4, 4), dtype=complex)
+        low[0, 1] = 1.0
+        high = np.zeros((4, 4), dtype=complex)
+        high[2, 3] = 1.0
+        gen = LindbladGenerator(
+            hamiltonian=np.zeros((4, 4)),
+            channels=[(u @ low @ u.conj().T, 1.0), (u @ high @ u.conj().T, 2.0)],
+            time_scale=1.0,
+        )
+        with pytest.raises(ValueError, match="non-unique.*gap.*1e-10"):
+            steady_state(gen)
+
 
 class TestExtractTransitionRate:
     def test_thermal_ground_to_first(self):
@@ -357,3 +460,12 @@ class TestExtractTransitionRate:
         gen = reduced_generator(ref_params, 4)
         with pytest.raises(ValueError):
             extract_transition_rate(gen, 0, 1, t_start=1.0, t_final=0.5)
+
+    def test_to_state_out_of_range(self, ref_params):
+        gen = reduced_generator(ref_params, 6)
+        for bad in (9, 6, -1):
+            with pytest.raises(ValueError, match=r"0\.\.5"):
+                extract_transition_rate(gen, 0, bad, t_start=0.0, t_final=1e-3)
+        bip = bipartite_generator(ref_params, 2, 3)
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            extract_transition_rate(bip, (0, 0), 3, t_start=0.0, t_final=1e-9)

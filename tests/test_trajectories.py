@@ -110,6 +110,9 @@ class TestJumpChain:
             simulate_jump_trajectory(ref_params, 0, 0.0, seed=1)
         with pytest.raises(ValueError):
             simulate_jump_trajectory(ref_params, 60, 1.0, seed=1, n_cap=52)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_jump_trajectory(ref_params, 0, bad, seed=1)
 
 
 class TestTrajectoryRecord:
@@ -512,6 +515,13 @@ class TestQuantumJump:
             simulate_quantum_jump(gen, np.zeros(8, dtype=complex), 0.01, seed=1)
         with pytest.raises(ValueError, match="dimension"):
             simulate_quantum_jump(gen, np.zeros(5, dtype=complex), 0.01, seed=1)
+
+    def test_rejects_non_finite_t_final(self, ref_params):
+        gen = reduced_generator(ref_params, 8)
+        psi0 = np.eye(8, dtype=complex)[0]
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_quantum_jump(gen, psi0, bad, seed=1)
 
 
 class TestExports:

@@ -1,29 +1,20 @@
 """Build script for the optional compiled jump-chain kernel.
 
-The package is fully functional without the extension (a pure-Python
-fallback with identical semantics is selected at import time), so a
-missing compiler only costs speed.
+_jump.c is plain C over libm, loaded with ctypes, not a Python extension
+module. The package works without it (the pure-Python twin gives the same
+event lists), so a failed build only costs speed and does not stop the
+install.
 """
 
 from setuptools import Extension, setup
 
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "qndsim._kernels._gillespie",
-                ["src/qndsim/_kernels/_gillespie.pyx"],
-                include_dirs=[numpy.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "qndsim._kernels._jump",
+            ["src/qndsim/_kernels/_jump.c"],
+            libraries=["m"],
+            optional=True,
+        )
+    ]
+)

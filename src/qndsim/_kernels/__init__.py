@@ -1,38 +1,34 @@
-"""Jump-simulation kernels: compiled core with a pure-Python fallback.
+"""Jump-chain kernels: a small compiled C core and its pure-Python twin.
 
-The compiled extension is optional; when it failed to build (or was
-disabled), the pure-Python twin takes over with bit-identical output. Both
-consume the same uniform stream from a caller-supplied numpy Generator and
-mirror each other's floating-point operation order exactly, so a given
-seed produces the same event list on either backend.
+Both read one cumulative rate table (see _gillespie_py) and consume the
+same uniform stream from a caller-supplied numpy Generator, so a seed
+gives the same event list on either backend. The C file is built by
+setup.py when a compiler exists and loaded with ctypes; without it the
+Python twin runs alone.
 """
 
-from . import _gillespie_py
+from . import _ckernel, _gillespie_py
 
-try:  # compiled twin; absent on source-only installs
-    from . import _gillespie
+BACKENDS = ("c", "python")
 
-    BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on build environment
-    _gillespie = None
-    BACKEND = "python"
+_compiled = _ckernel.find()
+BACKEND = "c" if _compiled is not None else "python"
 
 
 def available_backends():
-    names = ["python"]
-    if _gillespie is not None:
-        names.insert(0, "cython")
-    return tuple(names)
+    return BACKENDS if _compiled is not None else ("python",)
 
 
 def get_backend(name: str | None = None):
-    """Kernel module by name; None selects the best available."""
+    """Kernel by name; None or "auto" selects the best available."""
     if name in (None, "auto"):
-        return _gillespie if _gillespie is not None else _gillespie_py
+        return _compiled if _compiled is not None else _gillespie_py
     if name == "python":
         return _gillespie_py
-    if name == "cython":
-        if _gillespie is None:
+    if name == "c":
+        if _compiled is None:
             raise RuntimeError("compiled kernel is not available in this install")
-        return _gillespie
-    raise ValueError("unknown backend %r (use 'cython', 'python' or None)" % name)
+        return _compiled
+    raise ValueError(
+        "unknown backend %r (use one of %s, or None)" % (name, ", ".join(BACKENDS))
+    )

@@ -1,9 +1,11 @@
-"""Pure-Python jump-chain kernel (reference twin of the compiled one).
+"""Pure-Python jump-chain kernel, the reference for the compiled one.
 
-The compiled kernel must stay bit-compatible with this file: identical
-uniform-draw order (wait, then channel, two per event), identical
-arithmetic grouping in the rate expressions, and the same cumulative-scan
-channel selection. Any change here must be mirrored in the .pyx source.
+Both kernels read the same cumulative rate table and hold no physics:
+row n holds r0, r0+r1, ..., r0+...+r5 for state n, so its last entry is
+the total outflow. Each event takes two uniforms, the waiting time first,
+then the channel, which is the first k with v < row[k], else 5. The
+compiled kernel (_jump.c) must keep this draw order, this arithmetic and
+this scan, so that a seed gives the same event list on either backend.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import math
 
 import numpy as np
 
-# Channel order is frozen: thermal_up, thermal_down, opt_up1, opt_down1,
-# opt_up2, opt_down2. Deltas must match trajectories.CHANNEL_DELTAS.
-_DELTAS = (1, -1, 1, -1, 2, -2)
+# Phonon-number change of each channel, in the frozen channel order:
+# thermal_up, thermal_down, opt_up1, opt_down1, opt_up2, opt_down2.
+CHANNEL_DELTAS = (1, -1, 1, -1, 2, -2)
 
 CHUNK = 4096
 
@@ -22,16 +24,16 @@ STATUS_OK = 0
 STATUS_TRUNCATED = 1
 
 
-def run(rng, n0: int, t_final: float, coeffs, n_cap: int):
+def run(rng, n0: int, t_final: float, cum, n_cap: int):
     """Simulate one jump chain; returns (status, times, states, channels).
 
     rng: numpy Generator whose uniform stream drives the chain.
-    coeffs: 6 floats (th_up, th_down, a1, b1, a2, b2); the per-state rates
-    are th_up*(n+1), th_down*n, a1*(n+1), b1*n, a2*(n+1)*(n+2),
-    b2*n*(n-1). Status 1 means the state hit n_cap and the run is invalid.
+    cum: ``(n_cap, 6)`` cumulative rate table, row n as described above.
+    Status 1 means the state left the table (reached n_cap, or went below
+    0 on a malformed table) and the run is invalid.
     """
-    th_up, th_dn, a1, b1, a2, b2 = (float(c) for c in coeffs)
-    buf = rng.random(CHUNK)
+    rows = np.asarray(cum, dtype=np.float64).tolist()
+    buf = rng.random(CHUNK).tolist()
     bi = 0
     t = 0.0
     n = int(n0)
@@ -40,18 +42,12 @@ def run(rng, n0: int, t_final: float, coeffs, n_cap: int):
     chans: list[int] = []
     status = STATUS_OK
     while True:
-        fn = float(n)
-        r0 = th_up * (fn + 1.0)
-        r1 = th_dn * fn
-        r2 = a1 * (fn + 1.0)
-        r3 = b1 * fn
-        r4 = a2 * (fn + 1.0) * (fn + 2.0)
-        r5 = b2 * fn * (fn - 1.0)
-        total = r0 + r1 + r2 + r3 + r4 + r5
+        row = rows[n]
+        total = row[5]
         if total <= 0.0:
             break
         if bi == CHUNK:
-            buf = rng.random(CHUNK)
+            buf = rng.random(CHUNK).tolist()
             bi = 0
         u = buf[bi]
         bi += 1
@@ -59,36 +55,19 @@ def run(rng, n0: int, t_final: float, coeffs, n_cap: int):
         if t_next >= t_final:
             break
         if bi == CHUNK:
-            buf = rng.random(CHUNK)
+            buf = rng.random(CHUNK).tolist()
             bi = 0
         v = buf[bi] * total
         bi += 1
-        ch = 5
-        acc = r0
-        if v < acc:
-            ch = 0
-        else:
-            acc = acc + r1
-            if v < acc:
-                ch = 1
-            else:
-                acc = acc + r2
-                if v < acc:
-                    ch = 2
-                else:
-                    acc = acc + r3
-                    if v < acc:
-                        ch = 3
-                    else:
-                        acc = acc + r4
-                        if v < acc:
-                            ch = 4
-        n = n + _DELTAS[ch]
+        ch = 0
+        while ch < 5 and not v < row[ch]:
+            ch += 1
+        n = n + CHANNEL_DELTAS[ch]
         t = t_next
         times.append(t)
         states.append(n)
         chans.append(ch)
-        if n >= n_cap:
+        if not 0 <= n < n_cap:
             status = STATUS_TRUNCATED
             break
     return (

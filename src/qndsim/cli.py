@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__, _io
+from ._kernels import BACKENDS
 from .constants import TWO_PI
 from .coupling import classify_symmetry, g2_coefficient, read_field_csv
 from .fock import diagonal_state, fock_state, suggest_dim, thermal_state
@@ -521,8 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--n-cap", type=int, default=None, dest="n_cap")
-    sp.add_argument("--backend", choices=("auto", "python", "cython"),
-                    default=None)
+    sp.add_argument("--backend", choices=("auto",) + BACKENDS, default=None)
     sp.add_argument("--window", type=float, default=None,
                     help="staircase boxcar width, seconds")
     sp.add_argument("--out", help="output file prefix (default 'traject')")
@@ -568,7 +568,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -47,15 +47,6 @@ class RateSet:
     gamma_meas: float  # number-resolving measurement rate (state independent)
     total_decoherence: float  # sum of the five jump rates above
 
-    def as_tuple(self):
-        return (
-            self.gamma_up1,
-            self.gamma_down1,
-            self.gamma_up2,
-            self.gamma_down2,
-            self.gamma_th,
-        )
-
 
 @dataclass(frozen=True)
 class GroundStateRates:
@@ -123,21 +114,43 @@ def channel_coefficients(params: SystemParams) -> np.ndarray:
     )
 
 
+def _multiplied(coeffs, fn):
+    """Six channel rates at Fock index ``fn`` (a float or a float array)."""
+    th_up, th_dn, a1, b1, a2, b2 = coeffs
+    return (
+        th_up * (fn + 1.0),
+        th_dn * fn,
+        a1 * (fn + 1.0),
+        b1 * fn,
+        a2 * (fn + 1.0) * (fn + 2.0),
+        b2 * fn * (fn - 1.0),
+    )
+
+
+def channel_rates(params: SystemParams, n_cap: int) -> np.ndarray:
+    """Per-channel jump rates of states 0..n_cap-1, shape ``(n_cap, 6)``.
+
+    Row n is coefficient times multiplicity in the frozen channel order,
+    each product evaluated left to right; the jump-chain kernels draw from
+    the running sums of these rows.
+    """
+    fn = np.arange(n_cap, dtype=np.float64)
+    coeffs = channel_coefficients(params).tolist()
+    return np.column_stack(_multiplied(coeffs, fn))
+
+
 def transition_rates(params: SystemParams, n: int) -> RateSet:
     """Jump rates out of Fock state n (exact Lorentzian forms).
 
-    Coefficient times multiplicity, grouped as the jump-chain kernels
-    group it, so these are exactly the rates the sampler draws from.
+    Row n of :func:`channel_rates`, summed as the jump-chain kernels sum it,
+    so these are exactly the rates the sampler draws from.
     """
     if n < 0:
         raise ValueError("Fock index must be non-negative")
-    th_up, th_dn, a1, b1, a2, b2 = channel_coefficients(params).tolist()
-    fn = float(n)
-    up1 = a1 * (fn + 1.0)
-    down1 = b1 * fn
-    up2 = a2 * (fn + 1.0) * (fn + 2.0)
-    down2 = b2 * fn * (fn - 1.0)
-    th = th_up * (fn + 1.0) + th_dn * fn
+    r0, r1, up1, down1, up2, down2 = _multiplied(
+        channel_coefficients(params).tolist(), float(n)
+    )
+    th = r0 + r1
     return RateSet(
         n=n,
         gamma_up1=up1,

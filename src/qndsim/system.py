@@ -216,11 +216,6 @@ class SystemParams:
         return Fraction(value) / Fraction(TWO_PI)
 
 
-def mean_photon_number(p: SystemParams) -> float:
-    """Mean intracavity photon number for the stored drive."""
-    return p.nbar_photon
-
-
 def zero_point_amplitude(p: SystemParams) -> float:
     """Mechanical zero-point amplitude sqrt(hbar / (2 m omega_m)) in meters."""
     if p.mass is None:

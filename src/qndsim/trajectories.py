@@ -25,12 +25,13 @@ from scipy.optimize import brentq
 
 from . import _io
 from ._kernels import get_backend
+from ._kernels._gillespie_py import CHANNEL_DELTAS
 from .fock import suggest_dim
 from .lindblad import LindbladGenerator
-from .rates import channel_coefficients, measurement_to_thermal_ratio
+from .rates import channel_coefficients, channel_rates, measurement_to_thermal_ratio
 from .system import SystemParams
 
-# Event channels, frozen order; deltas give the phonon-number change.
+# Event channels, frozen order; CHANNEL_DELTAS gives the phonon-number change.
 CHANNELS = (
     "thermal_up",
     "thermal_down",
@@ -39,7 +40,6 @@ CHANNELS = (
     "opt_up2",
     "opt_down2",
 )
-CHANNEL_DELTAS = (1, -1, 1, -1, 2, -2)
 _DELTAS = np.array(CHANNEL_DELTAS)
 _CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNELS)}
 _DELTA_TO_CHANNEL = {1: 0, -1: 1, 2: 4, -2: 5}
@@ -185,8 +185,9 @@ def simulate_jump_trajectory(
     if n0 >= cap:
         raise ValueError("initial state is at or above the truncation cap")
     kernel = get_backend(backend)
+    cum = np.cumsum(channel_rates(params, cap), axis=1)
     status, times, states, chans = kernel.run(
-        make_rng(seed), int(n0), float(t_final), channel_coefficients(params), cap
+        make_rng(seed), int(n0), float(t_final), cum, cap
     )
     if status != 0:
         raise TruncationError(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qndsim import _kernels
 from qndsim.cli import main
 from qndsim.constants import TWO_PI
 from qndsim.coupling import ModeField, PermittivityPerturbation, write_field_csv
@@ -184,6 +185,30 @@ class TestTraject:
             )
             assert code == 1
             assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_truncation_exits_one(self, ref_config, tmp_path, capsys):
+        code = main(
+            ["traject", "--config", ref_config, "--n-cap", "2",
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation reached: state hit n_cap = 2")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_absent_compiled_backend_exits_one(
+        self, ref_config, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(_kernels, "_compiled", None)
+        code = main(
+            ["traject", "--config", ref_config, "--t-final", "0.01",
+             "--backend", "c", "--out", str(tmp_path / "x")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: compiled kernel is not available")
         assert not list(tmp_path.glob("x*"))
 
 

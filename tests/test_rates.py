@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from qndsim.constants import TWO_PI
 from qndsim.rates import (
     CHECK_NAMES,
     channel_coefficients,
+    channel_rates,
     feasibility,
     ground_state_rates,
     max_monitorable_state,
@@ -113,6 +115,25 @@ class TestTransitionRates:
             assert r.gamma_up2 == r4, n
             assert r.gamma_down2 == r5, n
             assert r.total_decoherence == r0 + r1 + r2 + r3 + r4 + r5, n
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(delta_hz=1600.0, omega_m_hz=800.0, kappa_hz=400.0)]
+    )
+    def test_table_rows_are_transition_rates(self, overrides):
+        # the kernels' cumulative table, summed left to right, holds the
+        # RateSet of each row bit for bit
+        p = make_ref(**overrides)
+        cap = default_n_cap(p)
+        table = channel_rates(p, cap)
+        cum = np.cumsum(table, axis=1)
+        assert table.shape == (cap, 6) and table.dtype == np.float64
+        for n in range(cap):
+            r = transition_rates(p, n)
+            assert table[n, 2:].tolist() == [
+                r.gamma_up1, r.gamma_down1, r.gamma_up2, r.gamma_down2
+            ], n
+            assert cum[n, 1] == r.gamma_th, n
+            assert cum[n, 5] == r.total_decoherence, n
 
     @given(n=st.integers(0, 50), nbar=st.floats(1.0, 1e4))
     @settings(max_examples=60, deadline=None)

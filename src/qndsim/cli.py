@@ -77,11 +77,11 @@ def _meta(command: str, params=None, **extra) -> dict:
     return meta
 
 
-def _emit_csv(out, header, rows, meta) -> None:
+def _emit_csv(out, header, columns, meta) -> None:
     if out:
-        _io.write_csv(out, header, rows, meta=meta)
+        _io.write_csv(out, header, columns, meta=meta)
     else:
-        sys.stdout.write(_io.render_csv(header, rows, meta=meta))
+        sys.stdout.write(_io.render_csv(header, columns, meta=meta))
 
 
 def _emit_json(out, obj, meta) -> None:
@@ -106,7 +106,7 @@ def cmd_rates(args) -> int:
         }
         _emit_json(args.out, obj, meta)
     else:
-        _emit_csv(args.out, header, rows, meta)
+        _emit_csv(args.out, header, list(zip(*rows)), meta)
     return 0
 
 
@@ -173,8 +173,8 @@ def cmd_evolve(args) -> int:
     if args.format == "json":
         _emit_json(args.out, result.to_json_dict(), meta)
     else:
-        header, rows = result.csv_header_rows()
-        _emit_csv(args.out, header, rows, meta)
+        header, columns = result.csv_header_columns()
+        _emit_csv(args.out, header, columns, meta)
     if result.failed:
         print(
             "warning: integration diagnostics failed (min eigenvalue %.3g)"
@@ -194,6 +194,10 @@ def cmd_traject(args) -> int:
                 "--t-final is required when the thermal rate is zero"
             )
         t_final = 50.0 / th0
+    window = t_final / 200.0 if args.window is None else args.window
+    # checked again by boxcar; here so a bad --window writes no file
+    if args.window is not None and not (window > 0 and np.isfinite(window)):
+        raise ValueError("window must be positive and finite")
     stats, trajs = ensemble(
         params,
         args.n0,
@@ -205,7 +209,6 @@ def cmd_traject(args) -> int:
         return_trajectories=True,
     )
     prefix = args.out or "traject"
-    window = args.window if args.window else t_final / 200.0
     meta = _meta(
         "traject",
         params,
@@ -327,7 +330,7 @@ def cmd_sweep(args) -> int:
     }
     for key, val in base.items():
         meta["cfg_" + key] = val
-    _emit_csv(args.out, header, rows, meta)
+    _emit_csv(args.out, header, list(zip(*rows)), meta)
     return 0
 
 
@@ -401,7 +404,8 @@ def cmd_twomode(args) -> int:
             w_plus, w_minus = mim_frequencies(p, x)
             rows.append([x, w_plus / TWO_PI, w_minus / TWO_PI])
         meta["x_grid"] = args.x_grid
-        _emit_csv(args.out, ["x_m", "omega_plus_hz", "omega_minus_hz"], rows, meta)
+        header = ["x_m", "omega_plus_hz", "omega_minus_hz"]
+        _emit_csv(args.out, header, list(zip(*rows)), meta)
         return 0
     obj = {
         "omega_plus_hz": p.omega_plus / TWO_PI,

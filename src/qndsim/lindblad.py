@@ -187,29 +187,23 @@ class EvolutionResult:
             "failed": self.failed,
         }
 
-    def csv_header_rows(self):
+    def csv_header_columns(self):
         d = self.populations.shape[1]
         header = (
             ["time_s"]
             + ["p%d" % n for n in range(d)]
             + ["trace_error", "hermiticity_error", "min_eigenvalue"]
         )
-        rows = []
-        for k in range(len(self.times)):
-            rows.append(
-                [self.times[k]]
-                + [self.populations[k, n] for n in range(d)]
-                + [
-                    self.trace_errors[k],
-                    self.hermiticity_errors[k],
-                    self.min_eigenvalues[k],
-                ]
-            )
-        return header, rows
+        columns = (
+            [self.times]
+            + list(self.populations.T)
+            + [self.trace_errors, self.hermiticity_errors, self.min_eigenvalues]
+        )
+        return header, columns
 
     def write_csv(self, path: str, meta: dict | None = None) -> None:
-        header, rows = self.csv_header_rows()
-        _io.write_csv(path, header, rows, meta=meta or self.meta)
+        header, columns = self.csv_header_columns()
+        _io.write_csv(path, header, columns, meta=meta or self.meta)
 
     def to_json_dict(self) -> dict:
         return {

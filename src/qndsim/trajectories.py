@@ -130,24 +130,34 @@ class Trajectory:
         return out
 
     def boxcar(self, window: float):
-        """Boxcar-averaged occupation: (bin_center_s, mean_n) arrays."""
-        if window <= 0:
-            raise ValueError("window must be positive")
+        """Boxcar-averaged occupation: (bin_center_s, mean_n) arrays.
+
+        Each stay is cut at the bin edges ``k * window`` it crosses and the
+        pieces are summed into their bins in (stay, bin) order, so every
+        bin's float sum is that of walking the record bin by bin.
+        """
+        window = float(window)
+        if not (window > 0 and math.isfinite(window)):
+            raise ValueError("window must be positive and finite")
         n_bins = max(1, int(math.ceil(self.t_final / window)))
+        states = self.segments()[0]
+        ends = np.minimum(np.append(self.times, self.t_final), self.t_final)
+        starts = np.concatenate(([0.0], ends[:-1]))
+        # a stay starts in bin int(start / window) and also enters every
+        # later bin q < n_bins with edge q * window < end - 1e-300
+        edges = np.arange(n_bins + 1) * window
+        first = (starts / window).astype(np.int64)
+        upper = ends - 1e-300
+        last = np.searchsorted(edges[:-1], upper) - 1
+        live = (starts < upper) & (first < n_bins)
+        pieces = np.where(live, 1 + np.maximum(last - first, 0), 0)
+        stay = np.repeat(np.arange(len(pieces)), pieces)
+        step = np.arange(len(stay)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        k = first[stay] + step
+        lo = np.where(step == 0, starts[stay], edges[k])
+        hi = np.minimum(edges[k + 1], ends[stay])
         integral = np.zeros(n_bins)
-        t_prev, s = 0.0, self.initial_n
-        # spread each constant-n segment over the bins it overlaps
-        marks = list(zip(self.times, self.new_ns)) + [(self.t_final, s)]
-        for t, n_next in marks:
-            t = float(min(t, self.t_final))
-            a, b = t_prev, t
-            k = int(a / window)
-            while a < b - 1e-300 and k < n_bins:
-                edge = min((k + 1) * window, b)
-                integral[k] += s * (edge - a)
-                a = edge
-                k += 1
-            t_prev, s = t, int(n_next)
+        np.add.at(integral, k, states[stay] * (hi - lo))
         widths = np.full(n_bins, window)
         widths[-1] = self.t_final - (n_bins - 1) * window
         centers = (np.arange(n_bins) + 0.5) * window
@@ -628,12 +638,10 @@ def ensemble(
 
 def write_events_csv(traj: Trajectory, path: str, meta: dict | None = None) -> None:
     """Event record as CSV rows (time_s, n, channel name)."""
-    header = ["time_s", "n", "channel"]
-    rows = [
-        [float(t), int(n), CHANNELS[int(c)]]
-        for t, n, c in zip(traj.times, traj.new_ns, traj.channels)
-    ]
-    _io.write_csv(path, header, rows, meta=meta)
+    names = list(map(CHANNELS.__getitem__, traj.channels.tolist()))
+    _io.write_csv(
+        path, ["time_s", "n", "channel"], [traj.times, traj.new_ns, names], meta=meta
+    )
 
 
 def write_trajectory_json(traj: Trajectory, path: str, meta: dict | None = None):
@@ -654,6 +662,4 @@ def write_staircase_csv(
     traj: Trajectory, path: str, window: float, meta: dict | None = None
 ) -> None:
     """Boxcar-averaged occupation for plotting (time_s, mean_n)."""
-    centers, means = traj.boxcar(window)
-    rows = [[float(t), float(m)] for t, m in zip(centers, means)]
-    _io.write_csv(path, ["time_s", "mean_n"], rows, meta=meta)
+    _io.write_csv(path, ["time_s", "mean_n"], traj.boxcar(window), meta=meta)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line surface, in process."""
 
+import hashlib
 import json
 import math
 
@@ -185,6 +186,18 @@ class TestTraject:
             )
             assert code == 1
             assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_bad_window_exits_one(self, ref_config, tmp_path, capsys):
+        # inf used to write a nan staircase, 0 fell back to the default
+        for bad in ("inf", "nan", "0"):
+            code = main(
+                ["traject", "--config", ref_config, "--count", "1",
+                 "--t-final", "0.01", "--window", bad,
+                 "--out", str(tmp_path / "x")]
+            )
+            assert code == 1
+            assert "window must be positive and finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
 
     def test_truncation_exits_one(self, ref_config, tmp_path, capsys):
@@ -397,3 +410,61 @@ class TestUsageErrors:
     def test_unknown_flag(self, ref_config, capsys):
         assert main(["rates", "--config", ref_config, "--frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestArtifactBytes:
+    """Every byte the reference commands write, pinned by sha256.
+
+    The digests were recorded with the row-by-row CSV renderer and the
+    per-bin boxcar loop, so the column renderer and the stay-binned boxcar
+    must reproduce those files exactly. ``QND_THREADS=1`` fixes
+    ``meta.threads`` in the stats JSON, the one field that follows the host.
+    """
+
+    RUNS = (
+        ["rates", "--out", "{d}/rates.csv"],
+        ["sweep", "--axis", "g2_hz", "--grid", "log:1e4:1e6:7",
+         "--out", "{d}/sweep.csv"],
+        ["traject", "--count", "4", "--t-final", "0.05", "--seed", "3",
+         "--out", "{d}/traj"],
+        # 0.05 / 0.0003 is not an integer: a short last bin
+        ["traject", "--count", "4", "--t-final", "0.05", "--seed", "3",
+         "--window", "0.0003", "--out", "{d}/win"],
+    )
+    SHA256 = {
+        "rates.csv": "b01f644f4f15cd682a6d450029e4bf7d43b7636938377f91c19ce5607693da0a",
+        "sweep.csv": "c7850bca703557bd7dd61b51db3f303d9a633b82a2c1edd5c98afa4716de2dff",
+        "traj_000_events.csv": "f734c4368e70628f71f5b23c26a6949e4651e9c517995c5d4a05c9c4705d574d",
+        "traj_000_staircase.csv": "978e36d19041dc064e0ad42a44b1005c09c625c436ecd0bcc0b77bea70f8e684",
+        "traj_001_events.csv": "f4ed68d1b21eb4acfd1b1486ed42e667a6c256fc58c9b8d80e7a4aa0ed6843c7",
+        "traj_001_staircase.csv": "d460bddabeef53e35b9225ff7da4ecd31faf371d9dc66228807de5aceb87d508",
+        "traj_002_events.csv": "db70b35d5ff38e4f81e12e9d6874b6968aa3c6a940587d7008bbbcc2cbe7b09c",
+        "traj_002_staircase.csv": "06854d9d83a755569446be7544f1f490570404ac36dce9b0f7101cb88dd3bcbf",
+        "traj_003_events.csv": "5029fd63b9b8effafcbc06234bd7bd9b4ffef83f23d4c75f259d44a3a4f0f573",
+        "traj_003_staircase.csv": "057521280ea71ebb94ef874a4900854a40a9b04bf26c7fa0ef06cff6472488c7",
+        "traj_stats.json": "52dac2be210fc4657af7f569de54c27a586ac4ac2763bbb3e6419f6b8a9f602d",
+        "win_000_events.csv": "3ca010431314f0a3c04e5381de904bde770efa19393aea4c644ea79229598ee0",
+        "win_000_staircase.csv": "041dd59315466190aa2c6ec5453ca3f380f9496d6e5de7500346ca79d56be8e9",
+        "win_001_events.csv": "3427ece8e4e046baea87e3e8c0333e4ad8e2ad367c5228818953d067109c307d",
+        "win_001_staircase.csv": "3cc1b11598a71bbff5f506f3b9b54180bff6c767bbfefb8bc9b4fe099220f23b",
+        "win_002_events.csv": "67b4eaf8ef79a277962d0dc8c2aa79888282453b8cf51d62f33c16fdfcf03270",
+        "win_002_staircase.csv": "254b117475b22caa75470c8f941b119b3fd385cdcaaf5c3f85a50e9c16c2e42e",
+        "win_003_events.csv": "d394028b7df61b1485dabd18ed5b6a0bf28dae50ea8b641e6dc4825e91abefa7",
+        "win_003_staircase.csv": "7a86cc62950ef9d779c4c485d35687233cccd11ea18046efd7589b6693595836",
+        "win_stats.json": "59eed64b3ef7e7260db6257b3586d6c2f164ca382a9873546dd038e2f8221272",
+    }
+
+    def test_files_match_recorded_digests(
+        self, ref_config, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("QND_THREADS", "1")
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in self.RUNS:
+            args = [a.format(d=out) for a in argv[1:]]
+            assert main([argv[0], "--config", ref_config] + args) == 0
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())
+        }
+        assert got == self.SHA256

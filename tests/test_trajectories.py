@@ -277,6 +277,86 @@ class TestStayReduction:
         self.assert_matches_walk(stats, trajs)
 
 
+def boxcar_loop(traj, window):
+    """Reference boxcar: spread each stay over its bins, one bin at a time."""
+    n_bins = max(1, int(math.ceil(traj.t_final / window)))
+    integral = np.zeros(n_bins)
+    t_prev, s = 0.0, traj.initial_n
+    marks = list(zip(traj.times, traj.new_ns)) + [(traj.t_final, s)]
+    for t, n_next in marks:
+        t = float(min(t, traj.t_final))
+        a, b = t_prev, t
+        k = int(a / window)
+        while a < b - 1e-300 and k < n_bins:
+            edge = min((k + 1) * window, b)
+            integral[k] += s * (edge - a)
+            a = edge
+            k += 1
+        t_prev, s = t, int(n_next)
+    widths = np.full(n_bins, window)
+    widths[-1] = traj.t_final - (n_bins - 1) * window
+    centers = (np.arange(n_bins) + 0.5) * window
+    centers[-1] = ((n_bins - 1) * window + traj.t_final) / 2.0
+    return centers, integral / widths
+
+
+class TestBoxcarByStay:
+    """``Trajectory.boxcar`` against the per-bin loop, bit for bit."""
+
+    def assert_matches_loop(self, traj, window):
+        centers, means = traj.boxcar(window)
+        ref_centers, ref_means = boxcar_loop(traj, window)
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert means.tobytes() == ref_means.tobytes()
+
+    def record(self, times, new_ns, t_final=1.0, initial_n=1):
+        return Trajectory(
+            seed=0,
+            initial_n=initial_n,
+            t_final=t_final,
+            times=np.array(times, dtype=float),
+            new_ns=np.array(new_ns, dtype=np.int64),
+            channels=np.zeros(len(times), dtype=np.int64),
+        )
+
+    @pytest.mark.parametrize("nbar_th", [0.25, 2.0])
+    def test_seeded_chains(self, nbar_th):
+        params = make_ref(nbar_th=nbar_th)
+        t_final = 0.05
+        # CLI default; not dividing t_final; 253 rounds the bin count up
+        # to a last bin of zero width; one bin wider than the record
+        windows = (t_final / 200, 0.0003, t_final / 253, 0.07)
+        events = 0
+        with np.errstate(invalid="ignore"):
+            for seed in range(40):
+                traj = simulate_jump_trajectory(params, 0, t_final, seed)
+                events += traj.n_events
+                for window in windows:
+                    self.assert_matches_loop(traj, window)
+        assert events > 2000
+
+    def test_hand_built_records(self):
+        cases = [
+            (self.record([0.25, 0.5], [2, 0]), 0.25),  # events on bin edges
+            (self.record([0.3, 0.55, 0.9], [3, 1, 4]), 0.15),  # 0.15 * 7 > 1
+            (self.record([0.3, 0.55], [0, 2]), 0.4),  # short last bin
+            (self.record([0.3, 0.55], [0, 2]), 2.5),  # window > t_final
+            (self.record([], [], t_final=2.5, initial_n=2), 0.7),  # empty
+            (self.record([0.4, 1.0], [2, 5]), 0.25),  # event at t_final
+            (self.record([0.1, 0.3, 0.7], [2, 1, 3], t_final=0.7), 0.1),
+            # int(1.7 / 0.1) is 17 though 1.7 < 17 * 0.1: the stay from 1.7
+            # starts in bin 17 with the sliver below its edge
+            (self.record([1.7, 1.85], [3, 0], t_final=2.0), 0.1),
+        ]
+        for traj, window in cases:
+            self.assert_matches_loop(traj, window)
+
+    @pytest.mark.parametrize("window", [math.inf, math.nan, 0.0, -0.1])
+    def test_rejects_bad_window(self, window):
+        with pytest.raises(ValueError, match="positive and finite"):
+            self.record([0.5], [2]).boxcar(window)
+
+
 class TestEnsemble:
     def test_count_one_reproduces_single_run(self, ref_params):
         stats, trajs = ensemble(

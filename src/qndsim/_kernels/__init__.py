@@ -2,9 +2,10 @@
 
 Both read one cumulative rate table (see _gillespie_py) and consume the
 same uniform stream from a caller-supplied numpy Generator, so a seed
-gives the same event list on either backend. The C file is built by
-setup.py when a compiler exists and loaded with ctypes; without it the
-Python twin runs alone.
+gives the same event list on either backend. The C file is compiled on
+first import, next to its source, when a C compiler is on PATH (see
+_ckernel.find) and loaded with ctypes; without it the Python twin runs
+alone.
 """
 
 from . import _ckernel, _gillespie_py

@@ -1,18 +1,31 @@
-"""ctypes front of the compiled jump-chain kernel (_jump.c).
+"""ctypes front of the compiled jump-chain kernel (_jump.c), and its build.
 
-The C code indexes the rate table without bounds checks, so ``run`` checks
-the table's dtype, layout and shape and the initial state before every
-call. Uniforms are drawn in chunks and handed to C; the generator belongs
-to one chain, so drawing ahead changes the draw count, not the events.
+``find`` compiles _jump.c on first use with the first C compiler on PATH
+into a library beside the source, named by a hash of the source and the
+flags, so a stale build never loads. The C code indexes the rate table
+without bounds checks, so ``run`` checks the table's dtype, layout and
+shape and the initial state before every call. Uniforms are drawn in
+chunks and handed to C; the generator belongs to one chain, so drawing
+ahead changes the draw count, not the events.
 """
 
 from __future__ import annotations
 
 import ctypes
-from importlib.machinery import EXTENSION_SUFFIXES
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
+
+SOURCE = Path(__file__).with_name("_jump.c")
+COMPILERS = ("cc", "gcc", "clang")
+# no contraction into fused multiply-adds: the Python twin rounds each step
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 CHUNK = 4096
 
@@ -74,14 +87,55 @@ class Kernel:
                 return (status,) + tuple(a[: k.value].copy() for a in out)
 
 
-def find():
-    """The kernel built next to this file by setup.py, or None."""
-    here = Path(__file__).parent
-    for suffix in EXTENSION_SUFFIXES:
-        path = here / ("_jump" + suffix)
-        if path.exists():
-            try:
-                return Kernel(path)
-            except (OSError, AttributeError):  # unloadable or foreign file
+def _compiler():
+    """Path of the first of COMPILERS on PATH, or None."""
+    return next(filter(None, map(shutil.which, COMPILERS)), None)
+
+
+def _library(source: Path) -> Path:
+    """Where the build of this source with FLAGS lives: next to the source."""
+    tag = hashlib.sha256(source.read_bytes() + " ".join(FLAGS).encode())
+    return source.with_name("%s-%s.so" % (source.stem, tag.hexdigest()[:12]))
+
+
+def _compile(compiler: str, source: Path, lib: Path) -> None:
+    """Build ``source`` into a temp file beside ``lib``, then move it there."""
+    fd, tmp = tempfile.mkstemp(prefix=lib.stem + ".", suffix=".so", dir=lib.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [compiler, *FLAGS, "-o", tmp, str(source), "-lm"],
+            check=True, capture_output=True, text=True, errors="replace",
+        )
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def find(source: Path = SOURCE):
+    """The kernel built from ``source``, compiled on first use, or None.
+
+    None without a compiler, silently. A build that fails, a directory
+    that cannot be written or a library that does not load warns once,
+    naming the compiler and the first line of the error, and yields None,
+    so the Python twin runs.
+    """
+    compiler = None
+    try:
+        lib = _library(source)
+        if not lib.exists():
+            compiler = _compiler()
+            if compiler is None:
                 return None
-    return None
+            _compile(compiler, source, lib)
+        return Kernel(lib)
+    except (OSError, AttributeError, subprocess.CalledProcessError) as exc:
+        error = getattr(exc, "stderr", None) or str(exc) or type(exc).__name__
+        warnings.warn(
+            "compiled jump kernel from %s (compiler: %s) is unavailable: %s; "
+            "running the Python kernel" % (source, compiler or "not run",
+                                           error.strip().splitlines()[0]),
+            RuntimeWarning, stacklevel=2,
+        )
+        return None

@@ -139,7 +139,12 @@ class Trajectory:
         window = float(window)
         if not (window > 0 and math.isfinite(window)):
             raise ValueError("window must be positive and finite")
-        n_bins = max(1, int(math.ceil(self.t_final / window)))
+        # bins start at k * window < t_final; the quotient can round up past
+        # an integer and would add a last bin of zero width
+        n_bins = math.ceil(self.t_final / window)
+        if (n_bins - 1) * window >= self.t_final:
+            n_bins -= 1
+        n_bins = max(1, n_bins)
         states = self.segments()[0]
         ends = np.minimum(np.append(self.times, self.t_final), self.t_final)
         starts = np.concatenate(([0.0], ends[:-1]))
@@ -527,9 +532,9 @@ class EnsembleStats:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else QND_THREADS (0 = auto)."""
+    """Worker count: explicit argument, else QND_THREADS, else 1 (0 = auto)."""
     if threads is None:
-        raw = os.environ.get("QND_THREADS", "0")
+        raw = os.environ.get("QND_THREADS", "1")
         try:
             threads = int(raw)
         except ValueError:
@@ -642,20 +647,6 @@ def write_events_csv(traj: Trajectory, path: str, meta: dict | None = None) -> N
     _io.write_csv(
         path, ["time_s", "n", "channel"], [traj.times, traj.new_ns, names], meta=meta
     )
-
-
-def write_trajectory_json(traj: Trajectory, path: str, meta: dict | None = None):
-    obj = {
-        "seed": int(traj.seed),
-        "initial_n": int(traj.initial_n),
-        "t_final_s": float(traj.t_final),
-        "null_jumps": int(traj.null_jumps),
-        "events": [
-            {"time_s": float(t), "n": int(n), "channel": CHANNELS[int(c)]}
-            for t, n, c in zip(traj.times, traj.new_ns, traj.channels)
-        ],
-    }
-    _io.write_json(path, obj, meta=meta)
 
 
 def write_staircase_csv(

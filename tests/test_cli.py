@@ -200,6 +200,20 @@ class TestTraject:
             assert "window must be positive and finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
 
+    def test_no_empty_last_staircase_bin(self, ref_config, tmp_path):
+        # 0.05 / window rounds up to 253.00000000000003; the 254th bin would
+        # start at t_final, have width 0 and a mean of 0/0
+        code = main(
+            ["traject", "--config", ref_config, "--count", "1",
+             "--t-final", "0.05", "--window", "0.0001976284584980237",
+             "--out", str(tmp_path / "x")]
+        )
+        assert code == 0
+        header, rows = read_table(tmp_path / "x_000_staircase.csv")
+        assert header == ["time_s", "mean_n"]
+        assert len(rows) == 253
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
     def test_truncation_exits_one(self, ref_config, tmp_path, capsys):
         code = main(
             ["traject", "--config", ref_config, "--n-cap", "2",

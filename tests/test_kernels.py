@@ -1,13 +1,12 @@
-"""Backend selection and bit-level parity of the jump-chain kernels.
+"""Backend selection, the kernel loader and bit-level parity of the kernels.
 
-The compiled kernel is the installed one when present; otherwise _jump.c
-is built here with the system C compiler and loaded through the same
-ctypes front, so the parity tests run wherever a compiler exists.
+The compiled kernel is the one ``qndsim._kernels`` built from _jump.c on
+import, so the parity tests run wherever a C compiler exists.
 """
 
 import json
 import shutil
-import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,9 @@ from qndsim.trajectories import make_rng, simulate_jump_trajectory
 
 from conftest import make_ref
 
-SOURCE = Path(_kernels.__file__).with_name("_jump.c")
 GOLDEN = Path(__file__).with_name("golden_sideband_chain.json")
+COMPILER = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
+needs_compiler = pytest.mark.skipif(COMPILER is None, reason="no C compiler found")
 
 # acceptance criterion 4: two-phonon sideband point, bottom rows busy
 SIDEBAND = SystemParams.from_frequencies(
@@ -55,27 +55,17 @@ def assert_same(a, b):
         assert np.array_equal(x, y)
 
 
-@pytest.fixture(scope="module")
-def c_kernel(tmp_path_factory):
-    """The installed compiled kernel, else _jump.c built in a temp dir."""
-    if "c" in available_backends():
-        return get_backend("c")
-    cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
-    if cc is None:
-        pytest.skip("no compiled kernel installed and no C compiler found")
-    lib = tmp_path_factory.mktemp("ckernel") / "_jump.so"
-    subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", "-o", str(lib), str(SOURCE), "-lm"],
-        check=True,
-    )
-    return _ckernel.Kernel(lib)
+@pytest.fixture
+def c_kernel():
+    if COMPILER is None:
+        pytest.skip("no C compiler found")
+    return get_backend("c")
 
 
 @pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """Each backend name, the compiled one registered even when built here."""
+def backend(request):
     if request.param == "c":
-        monkeypatch.setattr(_kernels, "_compiled", request.getfixturevalue("c_kernel"))
+        request.getfixturevalue("c_kernel")
     return request.param
 
 
@@ -100,6 +90,104 @@ class TestSelection:
         assert available_backends() == ("python",)
         with pytest.raises(RuntimeError, match="not available"):
             get_backend("c")
+
+
+class TestLoader:
+    def copy_source(self, tmp_path):
+        source = tmp_path / "_jump.c"
+        shutil.copyfile(_ckernel.SOURCE, source)
+        return source
+
+    def fake_compiler(self, tmp_path, monkeypatch, script):
+        """A shell script named cc, alone on PATH."""
+        fake = tmp_path / "cc"
+        fake.write_text("#!/bin/sh\n" + script)
+        fake.chmod(0o755)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        return fake
+
+    @needs_compiler
+    def test_compiler_means_compiled_backend(self):
+        # the benchmark and the tests run from the source tree: with a
+        # compiler there, the import must have built the C kernel
+        assert "c" in available_backends()
+        assert BACKEND == "c"
+
+    @needs_compiler
+    def test_builds_next_to_source(self, tmp_path):
+        source = self.copy_source(tmp_path)
+        kern = _ckernel.find(source)
+        assert isinstance(kern, _ckernel.Kernel)
+        lib = _ckernel._library(source)
+        assert lib.name.startswith("_jump-") and lib.suffix == ".so"
+        assert {p.name for p in tmp_path.iterdir()} == {"_jump.c", lib.name}
+        cum = ref_table()
+        assert_same(
+            get_backend("python").run(make_rng(4), 0, 0.2, cum, 52),
+            kern.run(make_rng(4), 0, 0.2, cum, 52),
+        )
+
+    @needs_compiler
+    def test_second_call_reuses_library(self, tmp_path, monkeypatch):
+        source = self.copy_source(tmp_path)
+        assert _ckernel.find(source) is not None
+
+        def no_compile(*args):
+            raise AssertionError("compiler ran again")
+
+        monkeypatch.setattr(_ckernel, "_compile", no_compile)
+        assert isinstance(_ckernel.find(source), _ckernel.Kernel)
+
+    @needs_compiler
+    def test_edited_source_is_rebuilt(self, tmp_path):
+        source = self.copy_source(tmp_path)
+        old = _ckernel._library(source)
+        assert _ckernel.find(source) is not None
+        source.write_text(source.read_text() + "/* edited */\n")
+        assert _ckernel._library(source) != old
+        assert _ckernel.find(source) is not None
+        assert _ckernel._library(source).exists()
+
+    def test_failing_compiler_warns(self, tmp_path, monkeypatch):
+        source = self.copy_source(tmp_path)
+        fake = self.fake_compiler(
+            tmp_path, monkeypatch,
+            "echo 'broken: cannot build' >&2\necho 'second line' >&2\nexit 1\n",
+        )
+        with pytest.warns(RuntimeWarning) as record:
+            assert _ckernel.find(source) is None
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert str(fake) in message
+        assert "broken: cannot build" in message
+        assert "second line" not in message
+        assert {p.name for p in tmp_path.iterdir()} == {"_jump.c", "cc"}
+
+    def test_unwritable_directory_warns(self, tmp_path, monkeypatch):
+        source = self.copy_source(tmp_path)
+        fake = self.fake_compiler(tmp_path, monkeypatch, "exit 0\n")
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(tmp_path))
+
+        monkeypatch.setattr(_ckernel.tempfile, "mkstemp", denied)
+        with pytest.warns(RuntimeWarning, match="Permission denied") as record:
+            assert _ckernel.find(source) is None
+        assert str(fake) in str(record[0].message)
+
+    def test_unloadable_library_warns(self, tmp_path):
+        source = self.copy_source(tmp_path)
+        _ckernel._library(source).write_bytes(b"not a shared library")
+        with pytest.warns(RuntimeWarning, match="unavailable"):
+            assert _ckernel.find(source) is None
+
+    def test_no_compiler_is_silent(self, tmp_path, monkeypatch):
+        source = self.copy_source(tmp_path)
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ckernel.find(source) is None
+        assert [p.name for p in tmp_path.iterdir()] == ["_jump.c"]
 
 
 class TestPythonKernel:

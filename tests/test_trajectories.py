@@ -25,7 +25,6 @@ from qndsim.trajectories import (
     simulate_quantum_jump,
     write_events_csv,
     write_staircase_csv,
-    write_trajectory_json,
 )
 
 from conftest import make_ref
@@ -280,6 +279,8 @@ class TestStayReduction:
 def boxcar_loop(traj, window):
     """Reference boxcar: spread each stay over its bins, one bin at a time."""
     n_bins = max(1, int(math.ceil(traj.t_final / window)))
+    while n_bins > 1 and traj.t_final - (n_bins - 1) * window <= 0:
+        n_bins -= 1  # only bins of positive width
     integral = np.zeros(n_bins)
     t_prev, s = 0.0, traj.initial_n
     marks = list(zip(traj.times, traj.new_ns)) + [(traj.t_final, s)]
@@ -323,17 +324,26 @@ class TestBoxcarByStay:
     def test_seeded_chains(self, nbar_th):
         params = make_ref(nbar_th=nbar_th)
         t_final = 0.05
-        # CLI default; not dividing t_final; 253 rounds the bin count up
-        # to a last bin of zero width; one bin wider than the record
+        # CLI default; not dividing t_final; 253 rounds the quotient up past
+        # an integer; one bin wider than the record
         windows = (t_final / 200, 0.0003, t_final / 253, 0.07)
         events = 0
-        with np.errstate(invalid="ignore"):
-            for seed in range(40):
-                traj = simulate_jump_trajectory(params, 0, t_final, seed)
-                events += traj.n_events
-                for window in windows:
-                    self.assert_matches_loop(traj, window)
+        for seed in range(40):
+            traj = simulate_jump_trajectory(params, 0, t_final, seed)
+            events += traj.n_events
+            for window in windows:
+                self.assert_matches_loop(traj, window)
         assert events > 2000
+
+    def test_no_bin_of_zero_width(self):
+        # 0.05 / (0.05 / 253) is 253.00000000000003 and 253 * window is 0.05:
+        # a 254th bin would start at t_final and average 0/0
+        traj = simulate_jump_trajectory(make_ref(), 0, 0.05, seed=3)
+        centers, means = traj.boxcar(0.05 / 253)
+        assert len(centers) == len(means) == 253
+        assert np.all(np.isfinite(means))
+        assert centers[-1] < 0.05
+        self.assert_matches_loop(traj, 0.05 / 253)
 
     def test_hand_built_records(self):
         cases = [
@@ -456,6 +466,10 @@ class TestResolveThreads:
         monkeypatch.setenv("QND_THREADS", "junk")
         with pytest.raises(ValueError, match="QND_THREADS"):
             resolve_threads()
+
+    def test_unset_means_one(self, monkeypatch):
+        monkeypatch.delenv("QND_THREADS", raising=False)
+        assert resolve_threads() == 1
 
     def test_zero_means_auto(self, monkeypatch):
         monkeypatch.delenv("QND_THREADS", raising=False)
@@ -615,15 +629,6 @@ class TestExports:
         first = lines[2].split(",")
         assert first[2] in CHANNELS
         assert len(lines) == 2 + traj.n_events
-
-    def test_trajectory_json(self, ref_params, tmp_path):
-        traj = simulate_jump_trajectory(ref_params, 0, 0.02, seed=8)
-        path = tmp_path / "traj.json"
-        write_trajectory_json(traj, str(path))
-        body = json.loads(path.read_text())
-        assert body["seed"] == 8
-        assert body["initial_n"] == 0
-        assert len(body["events"]) == traj.n_events
 
     def test_staircase_csv(self, ref_params, tmp_path):
         traj = simulate_jump_trajectory(ref_params, 0, 0.05, seed=8)

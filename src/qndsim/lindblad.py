@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import splu
 
 from . import _io
 from .cavity import susceptibility
@@ -37,6 +35,9 @@ from .fock import (
 )
 from .rates import channel_coefficients, number_dephasing_weight
 from .system import SystemParams
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Frozen channel order of the reduced generator.
 REDUCED_CHANNELS = (
@@ -121,6 +122,8 @@ class LindbladGenerator:
         Built from vec(A r B) = (A kron B^T) vec(r), term by term as in
         :meth:`apply`; zero-weight channels are skipped there and here.
         """
+        from scipy import sparse
+
         eye = sparse.identity(self.dim, dtype=complex, format="csr")
         h = sparse.csr_matrix(self.hamiltonian)
         sup = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
@@ -308,6 +311,13 @@ def bipartite_generator(
     )
 
 
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call."""
+    from scipy import integrate
+
+    return integrate.solve_ivp(*args, **kwargs)
+
+
 def evolve(
     gen: LindbladGenerator,
     rho0,
@@ -369,6 +379,8 @@ def steady_state(gen: LindbladGenerator) -> DensityMatrix:
     their pivot gap min|U_ii| / max|U_ii| is below 1e-10. The result
     satisfies gen(rho) = 0 to 1e-10 relative to the generator's rate scale.
     """
+    from scipy.sparse.linalg import splu
+
     d = gen.dim
     scale = gen.rate_scale()
     sup = (gen.superoperator() / scale).tolil()

@@ -15,13 +15,13 @@ determines the event list, bit for bit, on either kernel backend.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _io
 from ._kernels import get_backend
@@ -148,14 +148,15 @@ class Trajectory:
         states = self.segments()[0]
         ends = np.minimum(np.append(self.times, self.t_final), self.t_final)
         starts = np.concatenate(([0.0], ends[:-1]))
-        # a stay starts in bin int(start / window) and also enters every
-        # later bin q < n_bins with edge q * window < end - 1e-300
+        # a stay starts in bin int(start / window), or the last bin, and also
+        # enters every later bin q < n_bins with edge q * window < end - 1e-300;
+        # the last bin ends at t_final, which n_bins * window may fall short of
         edges = np.arange(n_bins + 1) * window
-        first = (starts / window).astype(np.int64)
+        edges[-1] = self.t_final
+        first = np.minimum((starts / window).astype(np.int64), n_bins - 1)
         upper = ends - 1e-300
         last = np.searchsorted(edges[:-1], upper) - 1
-        live = (starts < upper) & (first < n_bins)
-        pieces = np.where(live, 1 + np.maximum(last - first, 0), 0)
+        pieces = np.where(starts < upper, 1 + np.maximum(last - first, 0), 0)
         stay = np.repeat(np.arange(len(pieces)), pieces)
         step = np.arange(len(stay)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
         k = first[stay] + step
@@ -176,6 +177,14 @@ def default_n_cap(params: SystemParams) -> int:
     The headroom factor covers the n^2 growth of the two-phonon channels.
     """
     return max(4 * suggest_dim(params.nbar_th, tail_mass=1e-9), 20)
+
+
+@functools.lru_cache(maxsize=1)
+def _rate_table(params: SystemParams, cap: int) -> np.ndarray:
+    """Read-only cumulative rate table, shared by an ensemble's chains."""
+    cum = np.cumsum(channel_rates(params, cap), axis=1)
+    cum.flags.writeable = False
+    return cum
 
 
 def simulate_jump_trajectory(
@@ -200,9 +209,8 @@ def simulate_jump_trajectory(
     if n0 >= cap:
         raise ValueError("initial state is at or above the truncation cap")
     kernel = get_backend(backend)
-    cum = np.cumsum(channel_rates(params, cap), axis=1)
     status, times, states, chans = kernel.run(
-        make_rng(seed), int(n0), float(t_final), cum, cap
+        make_rng(seed), int(n0), float(t_final), _rate_table(params, cap), cap
     )
     if status != 0:
         raise TruncationError(
@@ -395,6 +403,13 @@ def simulate_quantum_jump(
         ),
         snapshots=snaps_out,
     )
+
+
+def brentq(*args, **kwargs):
+    """``scipy.optimize.brentq``, imported on the first call."""
+    from scipy import optimize
+
+    return optimize.brentq(*args, **kwargs)
 
 
 def _find_norm_crossing(psi, r, delta_max, diagonal_path, diag_a, evolver):

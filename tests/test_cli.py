@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,3 +486,51 @@ class TestArtifactBytes:
             for p in sorted(out.iterdir())
         }
         assert got == self.SHA256
+
+
+FOOTPRINT = """
+import json, sys
+from qndsim import cli, lindblad, trajectories
+
+out, config = sys.argv[1], sys.argv[2]
+
+def run(*argv):
+    assert cli.main([argv[0], "--config", config] + list(argv[1:])) == 0
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+run("rates", "--out", out + "/rates.csv")
+run("sweep", "--axis", "g2_hz", "--grid", "log:1e4:1e6:3", "--out", out + "/sweep.csv")
+run("traject", "--count", "2", "--t-final", "0.01", "--out", out + "/traj")
+light = loaded()
+run("evolve", "--initial", "fock:1", "--t-final", "2e-4", "--grid", "3",
+    "--dim", "6", "--out", out + "/evolve.csv")
+print(json.dumps({
+    "light": light,
+    "evolve": loaded(),
+    "targets": [callable(vars(lindblad).get("solve_ivp")),
+                callable(vars(trajectories).get("brentq"))],
+}))
+"""
+
+
+class TestImportFootprint:
+    """Only ``evolve`` and its kin load scipy's solvers, on first use."""
+
+    HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+
+    def test_solvers_load_on_first_use(self, ref_config, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT, str(tmp_path), ref_config],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        heavy = [m for m in got["light"] if m.startswith(self.HEAVY)]
+        assert heavy == []
+        assert "scipy.integrate" in got["evolve"]
+        # the benchmark's tracer wraps these two module attributes
+        assert got["targets"] == [True, True]

@@ -287,9 +287,10 @@ def boxcar_loop(traj, window):
     for t, n_next in marks:
         t = float(min(t, traj.t_final))
         a, b = t_prev, t
-        k = int(a / window)
+        k = min(int(a / window), n_bins - 1)
         while a < b - 1e-300 and k < n_bins:
-            edge = min((k + 1) * window, b)
+            # the last bin ends at t_final, past which n_bins * window may fall
+            edge = min(traj.t_final if k == n_bins - 1 else (k + 1) * window, b)
             integral[k] += s * (edge - a)
             a = edge
             k += 1
@@ -325,8 +326,9 @@ class TestBoxcarByStay:
         params = make_ref(nbar_th=nbar_th)
         t_final = 0.05
         # CLI default; not dividing t_final; 253 rounds the quotient up past
-        # an integer; one bin wider than the record
-        windows = (t_final / 200, 0.0003, t_final / 253, 0.07)
+        # an integer; one bin wider than the record; 19 * (t_final / 19)
+        # falls short of t_final
+        windows = (t_final / 200, 0.0003, t_final / 253, 0.07, t_final / 19)
         events = 0
         for seed in range(40):
             traj = simulate_jump_trajectory(params, 0, t_final, seed)
@@ -357,9 +359,22 @@ class TestBoxcarByStay:
             # int(1.7 / 0.1) is 17 though 1.7 < 17 * 0.1: the stay from 1.7
             # starts in bin 17 with the sliver below its edge
             (self.record([1.7, 1.85], [3, 0], t_final=2.0), 0.1),
+            # 13 * window falls short of t_final and its quotient by window
+            # rounds to 13: the stay from there belongs to the last bin
+            (self.record([0.007 / 13 * 13], [4], t_final=0.007, initial_n=2),
+             0.007 / 13),
         ]
         for traj, window in cases:
             self.assert_matches_loop(traj, window)
+
+    def test_last_bin_ends_at_t_final(self):
+        # 3 * 0.3 is 0.8999999999999999: the last bin still runs to t_final,
+        # so an idle record at n = 2 averages exactly 2 in every bin
+        traj = self.record([], [], t_final=0.9, initial_n=2)
+        centers, means = traj.boxcar(0.3)
+        assert len(means) == 3
+        assert np.all(means == 2.0)
+        self.assert_matches_loop(traj, 0.3)
 
     @pytest.mark.parametrize("window", [math.inf, math.nan, 0.0, -0.1])
     def test_rejects_bad_window(self, window):
@@ -376,6 +391,20 @@ class TestEnsemble:
         assert np.array_equal(trajs[0].times, solo.times)
         assert np.array_equal(trajs[0].channels, solo.channels)
         assert stats.n_trajectories == 1
+
+    def test_rate_table_built_once(self, ref_params, monkeypatch):
+        # every chain of an ensemble shares one read-only table
+        calls, build = [], trajectories.channel_rates
+        monkeypatch.setattr(
+            trajectories, "channel_rates", lambda *a: calls.append(a) or build(*a)
+        )
+        trajectories._rate_table.cache_clear()
+        stats = ensemble(ref_params, 0, 0.01, 8, seed_base=5)
+        assert stats.n_trajectories == 8
+        assert calls == [(ref_params, default_n_cap(ref_params))]
+        table = trajectories._rate_table(*calls[0])
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
     def test_histogram_normalized_and_rates_non_negative(self, ref_params):
         stats = ensemble(ref_params, 0, 0.1, 20, seed_base=1)

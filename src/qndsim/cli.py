@@ -102,7 +102,7 @@ def cmd_rates(args) -> int:
         obj = {
             "normalization": "gamma_th0",
             "columns": header,
-            "rows": [[float(v) if isinstance(v, float) else v for v in r] for r in rows],
+            "rows": rows,
         }
         _emit_json(args.out, obj, meta)
     else:
@@ -319,17 +319,14 @@ def cmd_sweep(args) -> int:
         row += [report.checks[name] for name in CHECK_NAMES]
         row.append(report.ok)
         rows.append(row)
-    meta = {
-        "tool": "qndsim",
-        "version": __version__,
-        "command": "sweep",
-        "axis": args.axis,
-        "grid": args.grid,
-        "n": args.n,
-        "dominance": args.dominance,
-    }
-    for key, val in base.items():
-        meta["cfg_" + key] = val
+    meta = _meta(
+        "sweep",
+        axis=args.axis,
+        grid=args.grid,
+        n=args.n,
+        dominance=args.dominance,
+        **{"cfg_" + key: val for key, val in base.items()},
+    )
     _emit_csv(args.out, header, list(zip(*rows)), meta)
     return 0
 
@@ -389,12 +386,7 @@ def _load_twomode(path: str) -> tuple:
 
 def cmd_twomode(args) -> int:
     p, nbar_1 = _load_twomode(args.config)
-    meta = {
-        "tool": "qndsim",
-        "version": __version__,
-        "command": "twomode",
-        "config": args.config,
-    }
+    meta = _meta("twomode", config=args.config)
     if args.format == "csv":
         if not args.x_grid:
             raise ValueError("csv output needs --x-grid for the branch sweep")
@@ -458,13 +450,7 @@ def cmd_coupling(args) -> int:
         obj["x_zpf_m"] = args.x_zpf
         obj["g1_hz"] = breakdown.g1 * args.x_zpf / TWO_PI
         obj["g2_hz"] = breakdown.total * args.x_zpf ** 2 / TWO_PI
-    meta = {
-        "tool": "qndsim",
-        "version": __version__,
-        "command": "coupling",
-        "field": args.field,
-        "others": ",".join(args.others or []),
-    }
+    meta = _meta("coupling", field=args.field, others=",".join(args.others or []))
     _emit_json(args.out, obj, meta)
     return 0
 
@@ -503,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--dominance", type=float, default=10.0)
-    sp.add_argument("--out", help="output path (stdout when omitted)")
+    output_flags(sp, formats=())
     sp.set_defaults(handler=cmd_feasibility)
 
     sp = sub.add_parser("evolve", help="integrate the phonon master equation")
@@ -540,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'log:lo:hi:num', 'linear:lo:hi:num' or 'list:v1,v2'")
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--dominance", type=float, default=10.0)
-    sp.add_argument("--out", help="output path (stdout when omitted)")
-    sp.set_defaults(handler=cmd_sweep, format="csv")
+    output_flags(sp, formats=())
+    sp.set_defaults(handler=cmd_sweep)
 
     sp = sub.add_parser("twomode", help="avoided-crossing branches and "
                         "single-mode mapping for coupled optical modes")
@@ -558,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--others", nargs="*", default=None,
                     help="field CSVs for the cross-term partner modes")
     sp.add_argument("--x-zpf", type=float, default=None, dest="x_zpf")
-    sp.add_argument("--out", help="output path (stdout when omitted)")
+    output_flags(sp, formats=())
     sp.set_defaults(handler=cmd_coupling)
 
     return parser

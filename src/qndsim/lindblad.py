@@ -33,22 +33,14 @@ from .fock import (
     product_state,
     tensor,
 )
-from .rates import channel_coefficients, number_dephasing_weight
+from .rates import CHANNELS, channel_coefficients, number_dephasing_weight
 from .system import SystemParams
 
 if TYPE_CHECKING:
     from scipy import sparse
 
 # Frozen channel order of the reduced generator.
-REDUCED_CHANNELS = (
-    "thermal_up",
-    "thermal_down",
-    "opt_up1",
-    "opt_down1",
-    "opt_up2",
-    "opt_down2",
-    "dephasing",
-)
+REDUCED_CHANNELS = CHANNELS + ("dephasing",)
 
 BIPARTITE_CHANNELS = ("cavity_decay", "thermal_down", "thermal_up")
 

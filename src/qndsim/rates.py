@@ -2,22 +2,35 @@
 
 Rates are always evaluated from the exact Lorentzian photon-number spectrum;
 the sideband-resolved closed forms for the ground state are exposed
-separately as labeled approximations. Dimensionless verdict quantities
-(monitorable-state bound, hierarchy ratios, margins) go through exact
-rational arithmetic on the Hz-level inputs so decimal parameter sets give
-bit-exact reference values.
+separately as labeled approximations. Every rate is stated once in floats
+(:func:`channel_coefficients`, rad/s) and once in exact Fractions of the
+Hz-level inputs (:func:`_exact_coefficients`), both multiplied out by
+:func:`_multiplied`. A rate in Hz is its rad/s value over 2*pi, so ratios of
+the exact rates are the rad/s ratios; the verdict quantities (hierarchy
+ratios, margins, monitorable-state bound) are formed from them so decimal
+parameter sets give bit-exact reference values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .cavity import photon_number_spectrum
-from .system import SystemParams, cooperativities
+from .system import SystemParams, _exact_cooperativities, cooperativities
+
+# Event channels in the frozen order of channel_coefficients.
+CHANNELS = (
+    "thermal_up",
+    "thermal_down",
+    "opt_up1",
+    "opt_down1",
+    "opt_up2",
+    "opt_down2",
+)
 
 # Frozen order of feasibility checks; every ratio passes iff >= dominance.
 CHECK_NAMES = (
@@ -88,13 +101,12 @@ class FeasibilityReport:
 
 
 def channel_coefficients(params: SystemParams) -> np.ndarray:
-    """Six per-state rate coefficients in frozen channel order.
+    """Six per-state rate coefficients (rad/s) in :data:`CHANNELS` order.
 
-    Channels: thermal up/down, one-phonon optical up/down, two-phonon
-    optical up/down. Rates at state n are coeff * (n+1), *n, *(n+1), *n,
-    *(n+1)(n+2), *n(n-1) respectively. This is the one float statement
-    of the channel weights; the samplers, the reduced generator and
-    :func:`transition_rates` all take them from here.
+    Rates at state n are coeff * (n+1), *n, *(n+1), *n, *(n+1)(n+2),
+    *n(n-1) respectively (:func:`_multiplied`). This is the one float
+    statement of the channel weights; the samplers, the reduced generator
+    and :func:`transition_rates` all take them from here.
     """
     p = params
 
@@ -114,16 +126,42 @@ def channel_coefficients(params: SystemParams) -> np.ndarray:
     )
 
 
+def _exact_coefficients(params: SystemParams) -> list:
+    """:func:`channel_coefficients` as exact Fractions, in Hz."""
+    nth, gm, kap, dlt, wm, g1, g2, nph = map(
+        params.hz_fraction,
+        ("nbar_th", "gamma_m", "kappa", "delta", "omega_m", "g1", "g2",
+         "nbar_photon"),
+    )
+
+    def s_nn(omega):
+        return nph * kap / ((omega - dlt) ** 2 + (kap / 2) ** 2)
+
+    g1sq, g2sq = g1 * g1, g2 * g2
+    return [
+        gm * nth,
+        gm * (nth + 1),
+        g1sq * s_nn(-wm),
+        g1sq * s_nn(wm),
+        g2sq / 4 * s_nn(-2 * wm),
+        g2sq / 4 * s_nn(2 * wm),
+    ]
+
+
 def _multiplied(coeffs, fn):
-    """Six channel rates at Fock index ``fn`` (a float or a float array)."""
+    """Six channel rates at Fock index ``fn``.
+
+    ``fn`` is a float, a float array, or an int with Fraction coefficients;
+    on a float, ``fn + 1`` is exactly ``fn + 1.0``.
+    """
     th_up, th_dn, a1, b1, a2, b2 = coeffs
     return (
-        th_up * (fn + 1.0),
+        th_up * (fn + 1),
         th_dn * fn,
-        a1 * (fn + 1.0),
+        a1 * (fn + 1),
         b1 * fn,
-        a2 * (fn + 1.0) * (fn + 2.0),
-        b2 * fn * (fn - 1.0),
+        a2 * (fn + 1) * (fn + 2),
+        b2 * fn * (fn - 1),
     )
 
 
@@ -202,34 +240,14 @@ def measurement_to_thermal_ratio(params: SystemParams) -> float:
     """Gamma_meas / Gamma_th0, evaluated in exact rational arithmetic.
 
     Equals the quadratic quantum cooperativity; infinite when the bath
-    occupancy is exactly zero.
+    occupancy is exactly zero and the quadratic coupling is not.
     """
     return cooperativities(params).q2
 
 
-def _rate_fractions(params: SystemParams, n: int) -> dict:
-    """Hz-level jump rates out of state n as exact Fractions."""
-    p = params
-    nbar = p.hz_fraction("nbar_photon")
-    nth = p.hz_fraction("nbar_th")
-    kap = p.hz_fraction("kappa")
-    dlt = p.hz_fraction("delta")
-    wm = p.hz_fraction("omega_m")
-    g1, g2 = p.hz_fraction("g1"), p.hz_fraction("g2")
-    gm = p.hz_fraction("gamma_m")
-
-    def s_nn(omega: Fraction) -> Fraction:
-        return nbar * kap / ((omega - dlt) ** 2 + (kap / 2) ** 2)
-
-    return {
-        "up1": (n + 1) * g1 * g1 * s_nn(-wm),
-        "down1": n * g1 * g1 * s_nn(wm),
-        "up2": (n + 1) * (n + 2) * (g2 * g2 / 4) * s_nn(-2 * wm),
-        "down2": n * (n - 1) * (g2 * g2 / 4) * s_nn(2 * wm),
-        "th": gm * ((nth + 1) * n + nth * (n + 1)),
-        "meas": 4 * nbar * g2 * g2 / kap,
-        "th0": nth * gm,
-    }
+def _monitorable(c2: Fraction, nth: Fraction) -> tuple[float, int | None]:
+    raw = (c2 - nth) / (2 * nth + 1)
+    return float(raw), (None if raw < 0 else math.floor(raw))
 
 
 def max_monitorable_state(params: SystemParams) -> tuple[float, int | None]:
@@ -240,17 +258,8 @@ def max_monitorable_state(params: SystemParams) -> tuple[float, int | None]:
     monitored). Exact rational arithmetic, so the floor is free of
     round-off at integer boundaries.
     """
-    p = params
-    nbar = p.hz_fraction("nbar_photon")
-    nth = p.hz_fraction("nbar_th")
-    kap = p.hz_fraction("kappa")
-    g2 = p.hz_fraction("g2")
-    gm = p.hz_fraction("gamma_m")
-    c2 = 4 * nbar * g2 * g2 / (kap * gm)
-    raw = (c2 - nth) / (2 * nth + 1)
-    if raw < 0:
-        return float(raw), None
-    return float(raw), int(math.floor(raw))
+    c2 = _exact_cooperativities(params)[1]
+    return _monitorable(c2, params.hz_fraction("nbar_th"))
 
 
 def feasibility(
@@ -265,30 +274,25 @@ def feasibility(
     linear-contamination ratio 4*omega_m^2/(Q1*kappa^2), inverse
     quadratic-backaction ratio 32*omega_m^2/(Q2*kappa^2)); the
     linear-limit margin 2*g2*omega_m/(g1*kappa); and the sideband margin
-    32*omega_m^2/kappa^2.
+    32*omega_m^2/kappa^2. Each ratio is formed exactly from the Hz-level
+    inputs and rounded once.
     """
     if dominance <= 1.0:
         raise ValueError("dominance factor must exceed 1")
     if n < 0:
         raise ValueError("Fock index must be non-negative")
     p = params
-    fr = _rate_fractions(p, n)
-    nth = p.hz_fraction("nbar_th")
-    kap = p.hz_fraction("kappa")
-    wm = p.hz_fraction("omega_m")
-    g1, g2 = p.hz_fraction("g1"), p.hz_fraction("g2")
-    gm = p.hz_fraction("gamma_m")
-    nbar = p.hz_fraction("nbar_photon")
+    nth, gm, kap, wm, g1, g2 = map(
+        p.hz_fraction, ("nbar_th", "gamma_m", "kappa", "omega_m", "g1", "g2")
+    )
+    th_up, th_dn, up1, down1, up2, down2 = _multiplied(_exact_coefficients(p), n)
+    th = th_up + th_dn
+    _, c2, q1, q2 = _exact_cooperativities(p)
 
     def ratio(num, den) -> float:
         if den == 0:
             return math.inf  # vacuous check, passes
         return float(num / den)
-
-    c1 = 4 * nbar * g1 * g1 / (kap * gm)
-    c2 = 4 * nbar * g2 * g2 / (kap * gm)
-    q1 = math.inf if nth == 0 else c1 / nth
-    q2 = math.inf if nth == 0 else c2 / nth
 
     def inv_ratio(coeff, q) -> float:
         # pass-ratio for a "q * kappa^2 / (coeff * omega_m^2) << 1" condition
@@ -299,11 +303,11 @@ def feasibility(
         return float(coeff * wm * wm / (q * kap * kap))
 
     ratios = {
-        "meas_over_thermal": ratio(fr["meas"], fr["th"]),
-        "thermal_over_up1": ratio(fr["th"], fr["up1"]),
-        "thermal_over_down1": ratio(fr["th"], fr["down1"]),
-        "thermal_over_up2": ratio(fr["th"], fr["up2"]),
-        "thermal_over_down2": ratio(fr["th"], fr["down2"]),
+        "meas_over_thermal": ratio(c2 * gm, th),  # Gamma_meas = C2 * Gamma_m
+        "thermal_over_up1": ratio(th, up1),
+        "thermal_over_down1": ratio(th, down1),
+        "thermal_over_up2": ratio(th, up2),
+        "thermal_over_down2": ratio(th, down2),
         "quantum_coop2": float(q2),
         "ground_linear": inv_ratio(4, q1),
         "ground_quadratic": inv_ratio(32, q2),
@@ -313,7 +317,7 @@ def feasibility(
         "sideband_resolution": float(32 * wm * wm / (kap * kap)),
     }
     checks = {name: ratios[name] >= dominance for name in CHECK_NAMES}
-    n_max, n_floor = max_monitorable_state(p)
+    n_max, n_floor = _monitorable(c2, nth)
     return FeasibilityReport(
         n=n,
         dominance=float(dominance),
@@ -331,35 +335,20 @@ def rate_table(params: SystemParams, n_top: int):
     """Rows of every rate for n = 0..n_top normalized by Gamma_th0.
 
     Returns (header, rows) where each row is a list of floats ordered as
-    the header names. Used for the rate-versus-n data table.
+    the header names. Row n holds the :class:`RateSet` of
+    :func:`transition_rates`, summed in the same order, over Gamma_th0.
     """
+    if n_top < 0:
+        raise ValueError("n_top must be non-negative (got %d)" % n_top)
     p = params
     th0 = p.nbar_th * p.gamma_m
     if th0 <= 0.0:
         raise ValueError("normalization requires nbar_th > 0 and gamma_m > 0")
-    header = [
-        "n",
-        "gamma_up1",
-        "gamma_down1",
-        "gamma_up2",
-        "gamma_down2",
-        "gamma_th",
-        "gamma_meas",
-        "total_decoherence",
-    ]
-    rows = []
-    for n in range(n_top + 1):
-        r = transition_rates(p, n)
-        rows.append(
-            [
-                float(n),
-                r.gamma_up1 / th0,
-                r.gamma_down1 / th0,
-                r.gamma_up2 / th0,
-                r.gamma_down2 / th0,
-                r.gamma_th / th0,
-                r.gamma_meas / th0,
-                r.total_decoherence / th0,
-            ]
-        )
-    return header, rows
+    header = [f.name for f in fields(RateSet)]
+    r0, r1, up1, down1, up2, down2 = channel_rates(p, n_top + 1).T
+    th = r0 + r1
+    total = th + up1 + down1 + up2 + down2
+    meas = np.full(n_top + 1, measurement_rate(p))
+    columns = [up1, down1, up2, down2, th, meas, total]
+    rows = np.column_stack([np.arange(n_top + 1.0)] + [c / th0 for c in columns])
+    return header, rows.tolist()

@@ -223,26 +223,30 @@ def zero_point_amplitude(p: SystemParams) -> float:
     return math.sqrt(HBAR / (2.0 * p.mass * p.omega_m))
 
 
+def _exact_cooperativities(p: SystemParams) -> tuple:
+    """(C1, C2, Q1, Q2) as exact Fractions of the Hz-level inputs.
+
+    C = 4*N*g^2/(kappa*Gamma_m) for g = g1, g2 and Q = C/nbar_th. At zero
+    bath occupancy Q is the float inf when C > 0 and stays 0 when C = 0.
+    """
+    kap, gm, nph, nth, g1, g2 = map(
+        p.hz_fraction, ("kappa", "gamma_m", "nbar_photon", "nbar_th", "g1", "g2")
+    )
+    c1, c2 = (4 * nph * g * g / (kap * gm) for g in (g1, g2))
+    if nth == 0:
+        return c1, c2, *(math.inf if c else c for c in (c1, c2))
+    return c1, c2, c1 / nth, c2 / nth
+
+
 def cooperativities(p: SystemParams) -> Cooperativities:
     """Classical and quantum cooperativities for both couplings.
 
     Evaluated with rational arithmetic on the Hz-level inputs so that
     decimal parameter sets give bit-exact reference values. The quantum
     cooperativities carry an infinite sentinel when the bath occupancy
-    is exactly zero.
+    is exactly zero and the coupling is not.
     """
-    kap, gm = p.hz_fraction("kappa"), p.hz_fraction("gamma_m")
-    nph = p.hz_fraction("nbar_photon")
-    nth = p.hz_fraction("nbar_th")
-    c = []
-    for name in ("g1", "g2"):
-        g = p.hz_fraction(name)
-        c.append(4 * nph * g * g / (kap * gm))
-    if nth == 0:
-        q = [math.inf if ci > 0 else 0.0 for ci in c]
-    else:
-        q = [float(ci / nth) for ci in c]
-    return Cooperativities(float(c[0]), float(c[1]), q[0], q[1])
+    return Cooperativities(*map(float, _exact_cooperativities(p)))
 
 
 def params_from_mapping(data: Mapping) -> SystemParams:

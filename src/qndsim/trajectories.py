@@ -28,18 +28,15 @@ from ._kernels import get_backend
 from ._kernels._gillespie_py import CHANNEL_DELTAS
 from .fock import suggest_dim
 from .lindblad import LindbladGenerator
-from .rates import channel_coefficients, channel_rates, measurement_to_thermal_ratio
+from .rates import (
+    CHANNELS,
+    channel_coefficients,
+    channel_rates,
+    measurement_to_thermal_ratio,
+)
 from .system import SystemParams
 
-# Event channels, frozen order; CHANNEL_DELTAS gives the phonon-number change.
-CHANNELS = (
-    "thermal_up",
-    "thermal_down",
-    "opt_up1",
-    "opt_down1",
-    "opt_up2",
-    "opt_down2",
-)
+# CHANNEL_DELTAS gives the phonon-number change of each of CHANNELS.
 _DELTAS = np.array(CHANNEL_DELTAS)
 _CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNELS)}
 _DELTA_TO_CHANNEL = {1: 0, -1: 1, 2: 4, -2: 5}

@@ -60,6 +60,15 @@ class TestRates:
         assert body["columns"][0] == "n"
         assert body["_manifest"]["sha256_16"]
 
+    def test_negative_n_top_exits_one(self, ref_config, tmp_path, capsys):
+        out = tmp_path / "rates.csv"
+        code = main(
+            ["rates", "--config", ref_config, "--n-top", "-3", "--out", str(out)]
+        )
+        assert code == 1
+        assert "-3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["rates", "--config", str(tmp_path / "nope.json")])
         assert code == 1
@@ -485,6 +494,52 @@ class TestArtifactBytes:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())
         }
+        assert got == self.SHA256
+
+
+class TestExactPathBytes:
+    """The exact-arithmetic outputs, pinned by sha256.
+
+    Recorded before the rational statements of the rates were folded into
+    the channel table: the reference verdict (which fails at the default
+    dominance), a detuned point, a point without linear coupling (an
+    infinite linear limit) and the JSON rate table.
+    """
+
+    RUNS = {
+        "feas_ref.json": ({}, ["feasibility"], 2),
+        "feas_detuned.json": (
+            dict(delta_hz=120e6, nbar_th=0.75), ["feasibility", "--n", "2"], 2
+        ),
+        "feas_no_g1.json": (
+            dict(g1_hz=0.0), ["feasibility", "--dominance", "5"], 0
+        ),
+        "rates.json": ({}, ["rates", "--format", "json"], 0),
+    }
+    SHA256 = {
+        "feas_ref.json": (
+            "49d4fdad04475e9c6598d2eb43d3c3cc91e82207d013b46cbb54382764f26a8d"
+        ),
+        "feas_detuned.json": (
+            "ccdda3aa37fe9c12bd59a4d6c8ecd3db6d5c510c79f60fc185278d62c3c031ac"
+        ),
+        "feas_no_g1.json": (
+            "eb420969d1aa95860a7489ddc8778f19b9f0ee4909bd17d887360e74ec1899c3"
+        ),
+        "rates.json": (
+            "ed08447aad7f633bccfaec3fd9411e3c5ac911416c5252eb305a90aad20e2ac1"
+        ),
+    }
+
+    def test_files_match_recorded_digests(self, tmp_path):
+        got = {}
+        for name, (overrides, argv, code) in self.RUNS.items():
+            config = tmp_path / ("cfg_" + name)
+            config.write_text(json.dumps(dict(REF_KW, **overrides)))
+            out = tmp_path / name
+            args = argv + ["--config", str(config), "--out", str(out)]
+            assert main(args) == code, name
+            got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
         assert got == self.SHA256
 
 

@@ -1,6 +1,7 @@
 """Transition rates, measurement rate, and the feasibility hierarchy."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from qndsim.constants import TWO_PI
 from qndsim.rates import (
     CHECK_NAMES,
+    _exact_coefficients,
     channel_coefficients,
     channel_rates,
     feasibility,
@@ -21,9 +23,58 @@ from qndsim.rates import (
     rate_table,
     transition_rates,
 )
+from qndsim.system import cooperativities
 from qndsim.trajectories import default_n_cap
 
 from conftest import make_ref
+
+
+def decimals(lo, hi, zero=False):
+    """Decimal inputs m x 10^e, and exactly 0 when ``zero`` is set."""
+    values = st.builds(
+        lambda m, e: float("%de%d" % (m, e)),
+        st.integers(1, 999),
+        st.integers(lo, hi),
+    )
+    return st.one_of(st.just(0.0), values) if zero else values
+
+
+def paper_ratios(kw, n):
+    """The feasibility ratios at state n, from the paper's formulas in Hz.
+
+    Written out independently of qndsim in exact Fractions; a zero
+    denominator makes a ratio infinite (a vacuous check).
+    """
+    wm, gm, kap = (Fraction(kw[k]) for k in ("omega_m_hz", "gamma_m_hz", "kappa_hz"))
+    dlt, g1, g2 = (Fraction(kw[k]) for k in ("delta_hz", "g1_hz", "g2_hz"))
+    nth, nph = Fraction(kw["nbar_th"]), Fraction(kw["nbar_photon"])
+
+    def div(num, den):
+        return math.inf if den == 0 else float(num / den)
+
+    def s_nn(w):
+        return nph * kap / ((w - dlt) ** 2 + kap * kap / 4)
+
+    gamma_th = gm * ((2 * nth + 1) * n + nth)
+    c1 = 4 * nph * g1 ** 2 / (kap * gm)
+    c2 = 4 * nph * g2 ** 2 / (kap * gm)
+    return {
+        "meas_over_thermal": div(4 * nph * g2 ** 2 / kap, gamma_th),
+        "thermal_over_up1": div(gamma_th, (n + 1) * g1 ** 2 * s_nn(-wm)),
+        "thermal_over_down1": div(gamma_th, n * g1 ** 2 * s_nn(wm)),
+        "thermal_over_up2": div(
+            gamma_th, (n + 1) * (n + 2) * g2 ** 2 * s_nn(-2 * wm) / 4
+        ),
+        "thermal_over_down2": div(gamma_th, n * (n - 1) * g2 ** 2 * s_nn(2 * wm) / 4),
+        # Q2 = C2 / nbar_th, and 0 without coupling even in a zero-temperature bath
+        "quantum_coop2": 0.0 if c2 == 0 else div(c2, nth),
+        # 4 wm^2 / (Q1 kappa^2) and 32 wm^2 / (Q2 kappa^2)
+        "ground_linear": div(4 * wm ** 2 * nth, c1 * kap ** 2),
+        "ground_quadratic": div(32 * wm ** 2 * nth, c2 * kap ** 2),
+        "linear_limit": div(2 * g2 * wm, g1 * kap),
+        "sideband_resolution": div(32 * wm ** 2, kap ** 2),
+        "n_max": float((c2 - nth) / (2 * nth + 1)),
+    }
 
 
 class TestGroundStateRates:
@@ -115,6 +166,12 @@ class TestTransitionRates:
             assert r.gamma_up2 == r4, n
             assert r.gamma_down2 == r5, n
             assert r.total_decoherence == r0 + r1 + r2 + r3 + r4 + r5, n
+
+    @pytest.mark.parametrize("overrides", [{}, dict(delta_hz=3e8, nbar_th=3.0)])
+    def test_exact_coefficients_are_the_float_ones_in_hz(self, overrides):
+        p = make_ref(**overrides)
+        hz = [TWO_PI * float(c) for c in _exact_coefficients(p)]
+        assert hz == pytest.approx(channel_coefficients(p).tolist(), rel=1e-13)
 
     @pytest.mark.parametrize(
         "overrides", [{}, dict(delta_hz=1600.0, omega_m_hz=800.0, kappa_hz=400.0)]
@@ -244,6 +301,48 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             feasibility(ref_params, 0, dominance=1.0)
 
+    def test_zero_bath_without_quadratic_coupling(self):
+        # no g2 means no measurement: Q2 is 0 as in cooperativities, not inf
+        p = make_ref(nbar_th=0.0, g2_hz=0.0)
+        rep = feasibility(p, 0, dominance=5.0)
+        assert rep.ratios["quantum_coop2"] == cooperativities(p).q2 == 0.0
+        assert not rep.checks["quantum_coop2"]
+        assert math.isinf(rep.ratios["ground_quadratic"])
+        assert not rep.ok
+
+    def test_zero_bath_without_linear_coupling(self):
+        # no g1 means no linear contamination: Q1 is 0, the check is vacuous
+        p = make_ref(nbar_th=0.0, g1_hz=0.0)
+        rep = feasibility(p, 0, dominance=5.0)
+        assert cooperativities(p).q1 == 0.0
+        assert math.isinf(rep.ratios["ground_linear"])
+        assert rep.checks["ground_linear"]
+        assert not rep.ok  # Q2 is infinite, so ground_quadratic fails
+
+    @given(
+        kw=st.fixed_dictionaries(
+            dict(
+                omega_m_hz=decimals(3, 9),
+                gamma_m_hz=decimals(-2, 4),
+                kappa_hz=decimals(3, 9),
+                delta_hz=st.one_of(
+                    decimals(3, 9, zero=True), decimals(3, 9).map(lambda v: -v)
+                ),
+                g1_hz=decimals(0, 6, zero=True),
+                g2_hz=decimals(0, 6, zero=True),
+                nbar_th=decimals(-4, 1, zero=True),
+                nbar_photon=decimals(-2, 4, zero=True),
+            )
+        ),
+        n=st.integers(0, 20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ratios_are_the_exact_paper_formulas(self, kw, n):
+        rep = feasibility(make_ref(**kw), n, dominance=10.0)
+        want = paper_ratios(kw, n)
+        assert rep.n_max == want.pop("n_max")
+        assert rep.ratios == want
+
     def test_strong_linear_coupling_breaks_the_limit(self):
         rep = feasibility(make_ref(g1_hz=5e6), 0, dominance=5.0)
         assert rep.ratios["linear_limit"] == pytest.approx(0.16, rel=1e-12)
@@ -278,6 +377,20 @@ class TestRateTable:
         imeas = header.index("gamma_meas")
         assert rows[5][ith] < rows[5][imeas]
         assert rows[6][ith] > rows[6][imeas]
+
+    @pytest.mark.parametrize("overrides", [{}, dict(delta_hz=3e8, nbar_th=3.0)])
+    def test_rows_are_transition_rates_over_th0(self, overrides):
+        # the per-row loop the table replaced, bit for bit
+        p = make_ref(**overrides)
+        th0 = p.nbar_th * p.gamma_m
+        header, rows = rate_table(p, 12)
+        for n, row in enumerate(rows):
+            r = transition_rates(p, n)
+            assert row == [float(n)] + [getattr(r, k) / th0 for k in header[1:]]
+
+    def test_rejects_negative_n_top(self, ref_params):
+        with pytest.raises(ValueError, match="-3"):
+            rate_table(ref_params, -3)
 
     def test_requires_thermal_normalizer(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -54,9 +53,14 @@ def manifest_line(meta: dict) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text then atomically rename into place."""
+    """Write text then atomically rename into place.
+
+    The temp file is created with mode 0666 less the umask, as ``open``
+    would create the file, since the rename keeps the temp file's mode.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)

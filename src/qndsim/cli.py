@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,7 +33,7 @@ from .rates import (
     measurement_rate,
     rate_table,
 )
-from .system import CONFIG_KEYS, params_from_mapping
+from .system import CONFIG_KEYS, REQUIRED_KEYS, params_from_mapping, read_config
 from .trajectories import ensemble, write_events_csv, write_staircase_csv
 from .twomode import (
     TwoModeParams,
@@ -43,7 +44,9 @@ from .twomode import (
 )
 
 
-class _UsageError(ValueError):
+class _UsageError(argparse.ArgumentTypeError, ValueError):
+    # argparse reports an ArgumentTypeError's own message; main() catches
+    # it as a ValueError wherever a command body parses a number itself.
     pass
 
 
@@ -54,16 +57,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _number(name: str, positive: bool = False):
+    """argparse type for a finite float flag, also > 0 when ``positive``."""
+    need = "positive and finite" if positive else "a finite number"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or (positive and value <= 0):
+            raise _UsageError("%s must be %s (got %r)" % (name, need, text))
+        return value
+
+    return parse
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _load_params(path: str):
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    return params_from_mapping(data)
+    return params_from_mapping(_load_json(path))
 
 
 def _meta(command: str, params=None, **extra) -> dict:
@@ -137,17 +153,16 @@ def _parse_initial(spec: str, dim_arg):
     kind, _, rest = spec.partition(":")
     if kind == "fock" and rest:
         k = int(rest)
-        if k < 0:
-            raise ValueError("fock index must be non-negative")
-        dim = dim_arg or max(k + 5, 12)
+        dim = max(k + 5, 12) if dim_arg is None else dim_arg
         return fock_state(dim, k), dim
     if kind == "thermal" and rest:
-        nbar = float(rest)
-        dim = dim_arg or max(suggest_dim(nbar, tail_mass=1e-9) + 4, 12)
-        return thermal_state(dim, nbar), dim
+        nbar = _number("thermal occupancy")(rest)
+        if dim_arg is None:
+            dim_arg = max(suggest_dim(nbar, tail_mass=1e-9) + 4, 12)
+        return thermal_state(dim_arg, nbar), dim_arg
     if kind == "diag" and rest:
-        probs = [float(v) for v in rest.split(",")]
-        dim = dim_arg or max(len(probs) + 4, 12)
+        probs = list(map(_number("diag probability"), rest.split(",")))
+        dim = max(len(probs) + 4, 12) if dim_arg is None else dim_arg
         if dim < len(probs):
             raise ValueError("--dim smaller than the diag probability list")
         padded = probs + [0.0] * (dim - len(probs))
@@ -195,9 +210,6 @@ def cmd_traject(args) -> int:
             )
         t_final = 50.0 / th0
     window = t_final / 200.0 if args.window is None else args.window
-    # checked again by boxcar; here so a bad --window writes no file
-    if args.window is not None and not (window > 0 and np.isfinite(window)):
-        raise ValueError("window must be positive and finite")
     stats, trajs = ensemble(
         params,
         args.n0,
@@ -245,18 +257,13 @@ def _parse_grid(spec: str):
     if kind == "list":
         if rest.strip() == "":
             return []
-        return [float(v) for v in rest.split(",")]
+        return list(map(_number("grid value"), rest.split(",")))
     parts = rest.split(":")
     if kind in ("linear", "log") and len(parts) == 3:
-        lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
-        if num < 0:
-            raise ValueError("grid point count must be non-negative")
-        if num == 0:
-            return []
+        endpoint = _number("%s grid endpoint" % kind, positive=kind == "log")
+        lo, hi, num = endpoint(parts[0]), endpoint(parts[1]), int(parts[2])
         if kind == "linear":
             return [float(v) for v in np.linspace(lo, hi, num)]
-        if lo <= 0 or hi <= 0:
-            raise ValueError("log grid endpoints must be positive")
         return [float(v) for v in np.geomspace(lo, hi, num)]
     raise ValueError(
         "grid must be 'log:lo:hi:num', 'linear:lo:hi:num' or 'list:v1,v2,...'"
@@ -280,13 +287,13 @@ SWEEP_COLUMNS = (
 
 def cmd_sweep(args) -> int:
     base = _load_json(args.config)
-    if not isinstance(base, dict):
-        raise ValueError("config must be a JSON object")
     if args.axis not in CONFIG_KEYS:
         raise ValueError(
             "unknown sweep axis '%s' (valid keys: %s)"
             % (args.axis, ", ".join(CONFIG_KEYS))
         )
+    # checked even when the grid is empty; the manifest keeps the raw values
+    read_config(base, CONFIG_KEYS, [k for k in REQUIRED_KEYS if k != args.axis])
     grid = _parse_grid(args.grid)
     header = (
         [args.axis]
@@ -347,18 +354,8 @@ TWOMODE_KEYS = (
 
 
 def _load_twomode(path: str) -> tuple:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = sorted(set(data) - set(TWOMODE_KEYS))
-    if unknown:
-        raise ValueError(
-            "unknown config key '%s' (accepted keys: %s)"
-            % (unknown[0], ", ".join(TWOMODE_KEYS))
-        )
-    for key, value in data.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError("config key '%s' must be a number" % key)
+    raw = _load_json(path)
+    data = read_config(raw, TWOMODE_KEYS, ("nu_hz",))
     if "omega_0_hz" in data:
         if "omega_1_hz" in data or "omega_2_hz" in data:
             raise ValueError("give either omega_0_hz or omega_1_hz/omega_2_hz")
@@ -368,8 +365,6 @@ def _load_twomode(path: str) -> tuple:
         omega_2 = data["omega_2_hz"] * TWO_PI
     else:
         raise ValueError("config needs omega_0_hz or both omega_1_hz/omega_2_hz")
-    if "nu_hz" not in data:
-        raise ValueError("missing required config key 'nu_hz'")
     p = TwoModeParams(
         omega_1=omega_1,
         omega_2=omega_2,
@@ -381,7 +376,7 @@ def _load_twomode(path: str) -> tuple:
         kappa=data.get("kappa_hz", 0.0) * TWO_PI,
         delta=data.get("delta_hz", 0.0) * TWO_PI,
     )
-    return p, data.get("nbar_1")
+    return p, raw.get("nbar_1")  # as written, so the report echoes it
 
 
 def cmd_twomode(args) -> int:
@@ -445,8 +440,6 @@ def cmd_coupling(args) -> int:
         "classification": classification.value,
     }
     if args.x_zpf is not None:
-        if args.x_zpf <= 0:
-            raise ValueError("--x-zpf must be positive")
         obj["x_zpf_m"] = args.x_zpf
         obj["g1_hz"] = breakdown.g1 * args.x_zpf / TWO_PI
         obj["g2_hz"] = breakdown.total * args.x_zpf ** 2 / TWO_PI
@@ -488,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "when any check fails)")
     sp.add_argument("--config", required=True)
     sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--dominance", type=float, default=10.0)
+    sp.add_argument("--dominance", type=_number("dominance"), default=10.0)
     output_flags(sp, formats=())
     sp.set_defaults(handler=cmd_feasibility)
 
@@ -496,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--initial", required=True,
                     help="'fock:k', 'thermal:nbar' or 'diag:p0,p1,...'")
-    sp.add_argument("--t-final", type=float, required=True, dest="t_final",
+    sp.add_argument("--t-final", type=_number("t_final", positive=True),
+                    required=True, dest="t_final",
                     help="integration horizon, seconds")
     sp.add_argument("--grid", type=int, default=201)
     sp.add_argument("--dim", type=int, default=None)
@@ -507,13 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "ensemble statistics and staircase exports")
     sp.add_argument("--config", required=True)
     sp.add_argument("--n0", type=int, default=0)
-    sp.add_argument("--t-final", type=float, default=None, dest="t_final",
+    sp.add_argument("--t-final", type=_number("t_final", positive=True),
+                    default=None, dest="t_final",
                     help="seconds; default 50 thermal lifetimes")
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--n-cap", type=int, default=None, dest="n_cap")
     sp.add_argument("--backend", choices=("auto",) + BACKENDS, default=None)
-    sp.add_argument("--window", type=float, default=None,
+    sp.add_argument("--window", type=_number("window", positive=True), default=None,
                     help="staircase boxcar width, seconds")
     sp.add_argument("--out", help="output file prefix (default 'traject')")
     sp.set_defaults(handler=cmd_traject)
@@ -525,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", required=True,
                     help="'log:lo:hi:num', 'linear:lo:hi:num' or 'list:v1,v2'")
     sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--dominance", type=float, default=10.0)
+    sp.add_argument("--dominance", type=_number("dominance"), default=10.0)
     output_flags(sp, formats=())
     sp.set_defaults(handler=cmd_sweep)
 
@@ -534,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--x-grid", default=None, dest="x_grid",
                     help="displacement grid for the csv branch sweep")
-    sp.add_argument("--x-zpf", type=float, default=None, dest="x_zpf")
+    sp.add_argument("--x-zpf", type=_number("x_zpf", positive=True), default=None,
+                    dest="x_zpf")
     output_flags(sp)
     sp.set_defaults(handler=cmd_twomode)
 
@@ -543,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True, help="field CSV for the target mode")
     sp.add_argument("--others", nargs="*", default=None,
                     help="field CSVs for the cross-term partner modes")
-    sp.add_argument("--x-zpf", type=float, default=None, dest="x_zpf")
+    sp.add_argument("--x-zpf", type=_number("x_zpf", positive=True), default=None,
+                    dest="x_zpf")
     output_flags(sp, formats=())
     sp.set_defaults(handler=cmd_coupling)
 
@@ -555,10 +552,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, KeyError, OSError, RuntimeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, RuntimeError,
+            ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

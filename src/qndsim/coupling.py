@@ -335,21 +335,11 @@ def write_field_csv(
                 _io.format_float(itf.qu),
             )
         )
-    lines.append(",".join(FIELD_COLUMNS))
-    for k in range(len(mode.grid)):
-        lines.append(
-            ",".join(
-                _io.format_float(v)
-                for v in (
-                    mode.grid[k],
-                    mode.field[k].real,
-                    mode.field[k].imag,
-                    pert.epsilon[k],
-                    pert.depsilon_dx[k],
-                )
-            )
-        )
-    _io.atomic_write_text(path, "\n".join(lines) + "\n")
+    table = _io.render_csv(
+        FIELD_COLUMNS,
+        [mode.grid, mode.field.real, mode.field.imag, pert.epsilon, pert.depsilon_dx],
+    )
+    _io.atomic_write_text(path, "\n".join(lines + [table]))
 
 
 def read_field_csv(path: str):

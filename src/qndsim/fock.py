@@ -75,8 +75,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError("density matrix must be square and non-empty")
         if not np.all(np.isfinite(m)):
             raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
@@ -136,8 +136,8 @@ def fock_state(dim: int, n: int) -> DensityMatrix:
 
 def thermal_state(dim: int, nbar: float) -> DensityMatrix:
     """Truncated, renormalized Bose-Einstein state with mean nbar."""
-    if nbar < 0:
-        raise ValueError("thermal occupancy must be non-negative")
+    if not 0 <= nbar < math.inf:
+        raise ValueError("thermal occupancy must be non-negative and finite")
     if nbar == 0:
         return fock_state(dim, 0)
     r = nbar / (nbar + 1.0)
@@ -221,8 +221,8 @@ def suggest_dim(nbar: float, tail_mass: float = 1e-6, minimum: int = 2) -> int:
     For occupancy nbar the probability mass outside the first d states is
     (nbar/(nbar+1))^d; zero occupancy needs only the floor value.
     """
-    if nbar < 0:
-        raise ValueError("occupancy must be non-negative")
+    if not 0 <= nbar < math.inf:
+        raise ValueError("occupancy must be non-negative and finite")
     if not 0 < tail_mass < 1:
         raise ValueError("tail_mass must lie in (0, 1)")
     if nbar == 0:

@@ -277,7 +277,7 @@ def feasibility(
     32*omega_m^2/kappa^2. Each ratio is formed exactly from the Hz-level
     inputs and rounded once.
     """
-    if dominance <= 1.0:
+    if not dominance > 1.0:
         raise ValueError("dominance factor must exceed 1")
     if n < 0:
         raise ValueError("Fock index must be non-negative")

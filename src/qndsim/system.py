@@ -11,29 +11,14 @@ round-off.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .constants import HBAR, K_B, TWO_PI
-
-# Hz-level keys accepted by params_from_mapping, in documented order.
-CONFIG_KEYS = (
-    "omega_m_hz",
-    "gamma_m_hz",
-    "kappa_hz",
-    "kappa_e_hz",
-    "delta_hz",
-    "g1_hz",
-    "g2_hz",
-    "temperature_k",
-    "nbar_th",
-    "nbar_photon",
-    "power_w",
-    "omega_d_hz",
-    "mass_kg",
-)
 
 
 def thermal_occupancy(omega_m: float, temperature: float) -> float:
@@ -106,6 +91,7 @@ class SystemParams:
     _hz: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.omega_m <= 0 or self.gamma_m <= 0 or self.kappa <= 0:
             raise ValueError("omega_m, gamma_m and kappa must be positive")
         if not (0.0 < self.kappa_e <= self.kappa):
@@ -124,14 +110,14 @@ class SystemParams:
     @classmethod
     def from_frequencies(
         cls,
+        *,
         omega_m_hz: float,
         gamma_m_hz: float,
         kappa_hz: float,
+        kappa_e_hz: float | None = None,
         delta_hz: float,
         g1_hz: float,
         g2_hz: float,
-        *,
-        kappa_e_hz: float | None = None,
         temperature_k: float | None = None,
         nbar_th: float | None = None,
         nbar_photon: float | None = None,
@@ -150,8 +136,8 @@ class SystemParams:
             raise ValueError("give exactly one of temperature_k or nbar_th")
         if (nbar_photon is None) == (power_w is None):
             raise ValueError("give exactly one of nbar_photon or power_w")
-        if power_w is not None and omega_d_hz is None:
-            raise ValueError("power_w requires omega_d_hz")
+        if power_w is not None and not (omega_d_hz or 0.0) > 0:
+            raise ValueError("power_w requires a positive omega_d_hz")
 
         if kappa_e_hz is None:
             kappa_e_hz = kappa_hz / 2.0
@@ -249,30 +235,49 @@ def cooperativities(p: SystemParams) -> Cooperativities:
     return Cooperativities(*map(float, _exact_cooperativities(p)))
 
 
+def _require_finite(obj) -> None:
+    """Reject a NaN or infinite float field of a parameter dataclass."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("%s must be finite (got %r)" % (f.name, value))
+
+
+def read_config(data, keys, required=()) -> dict:
+    """Floats of a flat JSON config object: no key outside ``keys``, none
+    of ``required`` missing, every value a finite number (bools are not).
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError("config must be a JSON object")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ValueError(
+            "unknown config key '%s' (accepted keys: %s)"
+            % (unknown[0], ", ".join(keys))
+        )
+    for key in required:
+        if key not in data:
+            raise ValueError("missing required config key '%s'" % key)
+    for key, value in data.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError("config key '%s' must be a number" % key)
+        if not abs(value) <= sys.float_info.max:  # NaN, inf or a huge int
+            raise ValueError("config key '%s' must be finite" % key)
+    return {key: float(value) for key, value in data.items()}
+
+
+_ARGS = inspect.signature(SystemParams.from_frequencies).parameters
+# Hz-level keys accepted by params_from_mapping: from_frequencies' keywords.
+CONFIG_KEYS = tuple(_ARGS)
+REQUIRED_KEYS = tuple(k for k, arg in _ARGS.items() if arg.default is arg.empty)
+
+
 def params_from_mapping(data: Mapping) -> SystemParams:
     """Build :class:`SystemParams` from a flat Hz-keyed mapping.
 
     Accepted keys are listed in :data:`CONFIG_KEYS`; anything else is an
     error naming the offending key.
     """
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
-    if unknown:
-        raise ValueError(
-            "unknown config key '%s' (accepted keys: %s)"
-            % (unknown[0], ", ".join(CONFIG_KEYS))
-        )
-    required = ("omega_m_hz", "gamma_m_hz", "kappa_hz", "delta_hz", "g1_hz", "g2_hz")
-    for key in required:
-        if key not in data:
-            raise ValueError("missing required config key '%s'" % key)
-    numbers = {}
-    for key, value in data.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError("config key '%s' must be a number" % key)
-        numbers[key] = float(value)
-    kwargs = {k: numbers[k] for k in required}
-    for opt in ("kappa_e_hz", "temperature_k", "nbar_th", "nbar_photon",
-                "power_w", "omega_d_hz", "mass_kg"):
-        if opt in numbers:
-            kwargs[opt] = numbers[opt]
-    return SystemParams.from_frequencies(**kwargs)
+    return SystemParams.from_frequencies(
+        **read_config(data, CONFIG_KEYS, REQUIRED_KEYS)
+    )

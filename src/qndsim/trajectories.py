@@ -362,7 +362,6 @@ def simulate_quantum_jump(
         post = post / np.linalg.norm(post)
         tau += delta
         label = labels[k_sel]
-        new_n = int(round(_mech_mean_n(post, gen.subsystem_dims)))
         if label == "dephasing":
             null_jumps += 1
         elif label in _CHANNEL_INDEX:
@@ -372,6 +371,7 @@ def simulate_quantum_jump(
             ev_ns.append(prev_n)
             ev_chs.append(ch)
         else:
+            new_n = int(round(_mech_mean_n(post, gen.subsystem_dims)))
             dn = new_n - prev_n
             if dn == 0:
                 null_jumps += 1

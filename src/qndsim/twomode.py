@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import FockOperator, identity, ladder, tensor
+from .system import _require_finite
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,7 @@ class TwoModeParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.omega_1 <= 0 or self.omega_2 <= 0:
             raise ValueError("optical frequencies must be positive")
         if self.nu < 0:

@@ -1,20 +1,27 @@
 """End-to-end runs of the command-line surface, in process."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndsim import _kernels
-from qndsim.cli import main
+from qndsim.cli import TWOMODE_KEYS, main
 from qndsim.constants import TWO_PI
 from qndsim.coupling import ModeField, PermittivityPerturbation, write_field_csv
+from qndsim.system import CONFIG_KEYS
 
 from conftest import REF_KW
 
@@ -439,6 +446,164 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
 
 
+BAD = ("nan", "inf", "-inf", "-1", "0", "")
+BAD_JSON = (math.nan, math.inf, -math.inf, -1, 0, "")
+# the reference point, driven by photon number or by power
+SINGLE_MODE = (REF_KW, {
+    **{k: v for k, v in REF_KW.items() if k != "nbar_photon"},
+    "power_w": 2.012947166633207e-08,
+    "omega_d_hz": 193.4e12,
+})
+TWOMODE_KW = {
+    "omega_0_hz": 200e12,
+    "nu_hz": 10e9,
+    "G1_a1_hz_per_m": 2e9,
+    "G1_a2_hz_per_m": -2e9,
+    "kappa_hz": 1e6,
+    "nbar_1": 100.0,
+}
+
+
+def value(good):
+    """A flag value: the working one or one of the bad ones, even odds."""
+    return st.one_of(st.just(good), st.sampled_from(BAD))
+
+
+def option(flag, good):
+    """A flag left out, or given a working or a bad value."""
+    return st.one_of(st.just([]), value(good).map(lambda v: [flag, v]))
+
+
+def spec(forms, good):
+    """A spec string such as a grid, with a working or bad number in it."""
+    return st.tuples(st.sampled_from(forms), value(good)).map(lambda t: t[0] % t[1])
+
+
+def flags(*parts):
+    return st.tuples(*parts).map(lambda ps: sum(ps, []))
+
+
+# subcommand -> (base configs, config keys, flag strategy); sizes stay
+# small because a valid draw runs for real
+FUZZ = {
+    "rates": (SINGLE_MODE, CONFIG_KEYS, flags(
+        option("--n-top", "3"), st.just(["--out", "out.csv"]))),
+    "feasibility": (SINGLE_MODE, CONFIG_KEYS, flags(
+        option("--n", "1"), option("--dominance", "5"),
+        st.just(["--out", "out.json"]))),
+    "evolve": (SINGLE_MODE, CONFIG_KEYS, flags(
+        spec(("fock:%s", "thermal:%s", "diag:0.5,%s"), "1").map(
+            lambda s: ["--initial", s]),
+        value("1e-4").map(lambda v: ["--t-final", v]),
+        option("--grid", "5"), option("--dim", "8"),
+        st.just(["--out", "out.csv"]))),
+    "traject": (SINGLE_MODE, CONFIG_KEYS, flags(
+        option("--t-final", "0.01"), option("--count", "2"),
+        option("--n0", "1"), option("--n-cap", "40"),
+        option("--window", "0.001"), st.just(["--out", "run"]))),
+    "sweep": (SINGLE_MODE, CONFIG_KEYS, flags(
+        st.sampled_from(CONFIG_KEYS).map(lambda k: ["--axis", k]),
+        spec(("list:%s", "list:1e4,%s", "linear:%s:1e5:3", "log:1e4:%s:3",
+              "log:1e4:1e5:%s"), "2e4").map(lambda s: ["--grid", s]),
+        option("--n", "0"), option("--dominance", "5"),
+        st.just(["--out", "out.csv"]))),
+    "twomode": ((TWOMODE_KW,), TWOMODE_KEYS, flags(
+        st.sampled_from((["--format", "json"], ["--format", "csv"])),
+        st.one_of(st.just([]), spec(("list:%s", "list:0,%s", "linear:0:%s:3"),
+                                    "1e-3").map(lambda s: ["--x-grid", s])),
+        option("--x-zpf", "1e-15"), st.just(["--out", "out.txt"]))),
+    "coupling": ((), (), flags(
+        st.just(["--field", "target.csv"]),
+        st.sampled_from(([], ["--others", "partner.csv"])),
+        option("--x-zpf", "1e-15"), st.just(["--out", "out.json"]))),
+}
+
+
+class TestInputBoundary:
+    """Bad numbers in a config or a flag end in one error line and no file."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ))
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_bad_numbers_exit_cleanly(self, command, data):
+        bases, keys, argv_strategy = FUZZ[command]
+        argv = [command] + data.draw(argv_strategy, label="argv")
+        with tempfile.TemporaryDirectory() as work:
+            cwd = os.getcwd()
+            os.chdir(work)
+            try:
+                if not bases:
+                    TestCoupling().write_fields(Path("."))
+                else:
+                    base = data.draw(st.sampled_from(bases), label="base")
+                    overrides = data.draw(st.dictionaries(
+                        st.sampled_from(keys), st.sampled_from(BAD_JSON),
+                        max_size=2), label="config")
+                    Path("cfg.json").write_text(json.dumps({**base, **overrides}))
+                    argv += ["--config", "cfg.json"]
+                before = sorted(os.listdir("."))
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                after = sorted(os.listdir("."))
+            finally:
+                os.chdir(cwd)
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert after == before
+
+    @pytest.mark.parametrize("overrides, argv, message", [
+        ({"nbar_th": math.nan}, ["rates", "--out", "out.csv"],
+         "'nbar_th' must be finite"),
+        ({"nbar_photon": math.inf}, ["rates", "--out", "out.csv"],
+         "'nbar_photon' must be finite"),
+        ({}, ["feasibility", "--dominance", "nan", "--out", "out.json"],
+         "dominance must be a finite number"),
+        ({"bogus": "x"}, ["sweep", "--axis", "g2_hz", "--grid", "list:",
+                          "--out", "out.csv"], "unknown config key 'bogus'"),
+        ({}, ["evolve", "--initial", "fock:0", "--t-final", "1e-4",
+              "--dim", "0", "--out", "out.csv"], "dimension 0"),
+        ({}, ["evolve", "--initial", "thermal:nan", "--t-final", "1e-4",
+              "--out", "out.csv"], "thermal occupancy must be a finite number"),
+        ({}, ["sweep", "--axis", "g2_hz", "--grid", "linear:1:inf:2",
+              "--out", "out.csv"], "grid endpoint must be a finite number"),
+    ])
+    def test_leaks_of_the_old_checks_exit_one(
+        self, overrides, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        # these exited 0 or 2, ran at another size, or failed with a stray
+        # message or a numpy warning
+        monkeypatch.chdir(tmp_path)
+        cfg = {} if "bogus" in overrides else REF_KW
+        Path("cfg.json").write_text(json.dumps({**cfg, **overrides}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--config", "cfg.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert os.listdir(".") == ["cfg.json"]
+
+    def test_artifacts_take_the_umask(self, ref_config, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert main(["rates", "--config", ref_config,
+                         "--out", str(tmp_path / "rates.csv")]) == 0
+            assert main(["traject", "--config", ref_config, "--t-final", "0.01",
+                         "--out", str(tmp_path / "run")]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()
+                 if p.name != "config.json"}
+        assert modes == {
+            "rates.csv": 0o644, "run_stats.json": 0o644,
+            "run_000_events.csv": 0o644, "run_000_staircase.csv": 0o644,
+        }
+
+
 class TestArtifactBytes:
     """Every byte the reference commands write, pinned by sha256.
 
@@ -540,6 +705,67 @@ class TestExactPathBytes:
             args = argv + ["--config", str(config), "--out", str(out)]
             assert main(args) == code, name
             got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == self.SHA256
+
+
+class TestInputPathBytes:
+    """Outputs of the config and flag readers, pinned by sha256.
+
+    Recorded before the readers were merged into one. The runs use
+    relative paths because ``twomode`` and ``coupling`` put their input
+    paths in the manifest. The sweep config holds integers, one of them
+    above 2**53, so the manifest's raw config values are pinned too.
+    """
+
+    TWOMODE = {**TWOMODE_KW, "nbar_1": 100}
+    SWEEP = {
+        "omega_m_hz": 2_000_000_000,
+        "gamma_m_hz": 1000,
+        "kappa_hz": 500_000_000,
+        "delta_hz": 0,
+        "g1_hz": 50_000,
+        "g2_hz": 100_000,
+        "nbar_th": 0.25,
+        "power_w": 2e-8,
+        "omega_d_hz": 2**53 + 1,
+    }
+    RUNS = {
+        "twomode.json": ["twomode", "--config", "twomode_cfg.json",
+                         "--format", "json", "--x-zpf", "1e-15"],
+        "twomode.csv": ["twomode", "--config", "twomode_cfg.json",
+                        "--format", "csv", "--x-grid", "list:0,0.001"],
+        "coupling.json": ["coupling", "--field", "target.csv",
+                          "--others", "partner.csv", "--x-zpf", "1e-15"],
+        "sweep.csv": ["sweep", "--config", "sweep_cfg.json", "--axis", "g2_hz",
+                      "--grid", "log:1e4:1e6:3"],
+    }
+    SHA256 = {
+        "target.csv": (
+            "c189b50b453b6b049d725c10254185f53ed67be2567ef5906969c6062437af2c"
+        ),
+        "twomode.json": (
+            "1edce75d9d79dd7b57ae0b9c3ab9daf11b88897fedd45cc05da00296fbb82763"
+        ),
+        "twomode.csv": (
+            "3a4f8d9d5457eff88dcc8af28665ab38572c2edfa92a4e66b3eb662f0369fd5a"
+        ),
+        "coupling.json": (
+            "920b8b09b13fcb73887d0233fd7a3390b97bf6cf1811c8760599aa26e8c9a309"
+        ),
+        "sweep.csv": (
+            "59a76a8a902338a42e9a7feb779c422b537831e7f0f8f3e8f3d3c643b0dcd8b1"
+        ),
+    }
+
+    def test_files_match_recorded_digests(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("twomode_cfg.json").write_text(json.dumps(self.TWOMODE))
+        Path("sweep_cfg.json").write_text(json.dumps(self.SWEEP))
+        TestCoupling().write_fields(Path("."))
+        for name, argv in self.RUNS.items():
+            assert main(argv + ["--out", name]) == 0, name
+        names = ["target.csv"] + list(self.RUNS)
+        got = {n: hashlib.sha256(Path(n).read_bytes()).hexdigest() for n in names}
         assert got == self.SHA256
 
 

@@ -215,3 +215,16 @@ class TestSuggestDim:
     @settings(max_examples=60, deadline=None)
     def test_respects_minimum(self, nbar, minimum):
         assert suggest_dim(nbar, minimum=minimum) >= minimum
+
+
+@pytest.mark.parametrize("nbar", [math.nan, math.inf])
+def test_occupancy_must_be_finite(nbar):
+    with pytest.raises(ValueError, match="finite"):
+        suggest_dim(nbar)
+    with pytest.raises(ValueError, match="finite"):
+        thermal_state(12, nbar)
+
+
+def test_empty_density_matrix_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        thermal_state(0, 0.25)

@@ -395,3 +395,8 @@ class TestRateTable:
     def test_requires_thermal_normalizer(self):
         with pytest.raises(ValueError):
             rate_table(make_ref(nbar_th=0.0), 3)
+
+
+def test_nan_dominance_rejected(ref_params):
+    with pytest.raises(ValueError, match="dominance"):
+        feasibility(ref_params, 0, dominance=math.nan)

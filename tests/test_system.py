@@ -1,5 +1,7 @@
 """Parameter container, unit conversion, and derived scalars."""
 
+import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -8,9 +10,11 @@ import pytest
 from qndsim.constants import HBAR, K_B, TWO_PI
 from qndsim.system import (
     CONFIG_KEYS,
+    REQUIRED_KEYS,
     SystemParams,
     cooperativities,
     params_from_mapping,
+    read_config,
     temperature_for_occupancy,
     thermal_occupancy,
     zero_point_amplitude,
@@ -204,3 +208,35 @@ class TestMappingLoader:
             "omega_d_hz",
             "mass_kg",
         )
+
+
+class TestFiniteInputs:
+    """NaN and inf fail every ``<=`` check, so they are rejected by name."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+    def test_config_value_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="'nbar_th' must be finite"):
+            params_from_mapping(dict(REF_KW, nbar_th=bad))
+
+    def test_reader_returns_floats(self):
+        got = read_config({"a": 1, "b": 2.5}, ("a", "b", "c"), ("a",))
+        assert got == {"a": 1.0, "b": 2.5}
+        assert all(type(v) is float for v in got.values())
+        with pytest.raises(ValueError, match="JSON object"):
+            read_config([1.0], ("a",))
+
+    def test_config_keys_are_the_constructor_keywords(self):
+        args = inspect.signature(SystemParams.from_frequencies).parameters
+        assert CONFIG_KEYS == tuple(args)
+        assert REQUIRED_KEYS == (
+            "omega_m_hz", "gamma_m_hz", "kappa_hz", "delta_hz", "g1_hz", "g2_hz"
+        )
+
+    def test_fields_must_be_finite(self, ref_params):
+        with pytest.raises(ValueError, match="nbar_th must be finite"):
+            dataclasses.replace(ref_params, nbar_th=math.nan)
+        # a derived value can overflow: 1e300 W at a 1e-10 Hz drive
+        kw = dict(REF_KW, power_w=1e300, omega_d_hz=1e-10)
+        del kw["nbar_photon"]
+        with pytest.raises(ValueError, match="nbar_photon must be finite"):
+            params_from_mapping(kw)

@@ -288,3 +288,10 @@ class TestSingleModeMapping:
         (n_a, f_a), (n_b, f_b) = m.candidates
         assert n_a == n_b == m.nbar_effective
         assert {f_a, f_b} == {1.0, 0.5}
+
+
+def test_params_must_be_finite():
+    with pytest.raises(ValueError, match="nu must be finite"):
+        TwoModeParams(omega_1=1.0, omega_2=1.0, nu=math.nan)
+    with pytest.raises(ValueError, match="G2_a1 must be finite"):
+        TwoModeParams.wgm(5.0, 0.5, G1=0.3, G2=math.inf)

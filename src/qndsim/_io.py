@@ -4,7 +4,9 @@ Every file the package writes goes through these functions so that
 identical inputs produce byte-identical files: floats are rendered with 17
 significant digits (full round-trip precision), dict keys are sorted,
 column orders are frozen by the callers (CSV is built from columns,
-each formatted in one pass), and writes land via an atomic rename. Each
+each formatted in one pass), and writes land via an atomic rename. A write
+whose bytes the file already holds is skipped, so a re-run that reproduces
+an artifact leaves it untouched (same inode, mode and mtime). Each
 file carries a leading manifest comment (CSV) or a ``_manifest`` entry
 (JSON) holding a hash of the run configuration so outputs can be traced
 back to their inputs.
@@ -14,10 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import locale
 import math
 import os
+import stat
 
 import numpy as np
+
+_FLOAT_FORMAT = "%.17g"
 
 
 def format_float(x) -> str:
@@ -26,7 +32,7 @@ def format_float(x) -> str:
     ``%.17g`` spells the non-finite values nan, inf and -inf (a negative
     NaN prints as nan).
     """
-    return "%.17g" % float(x)
+    return _FLOAT_FORMAT % float(x)
 
 
 def format_value(v) -> str:
@@ -52,18 +58,36 @@ def manifest_line(meta: dict) -> str:
     return "# manifest %s %s" % _manifest(meta)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text then atomically rename into place.
+def _holds(path: str, data: bytes) -> bool:
+    """Whether path is a regular file (not a symlink) holding exactly data."""
+    try:
+        st = os.lstat(path)
+        if not stat.S_ISREG(st.st_mode) or st.st_size != len(data):
+            return False
+        with open(path, "rb") as fh:
+            return fh.read(len(data) + 1) == data
+    except OSError:
+        return False
 
-    The temp file is created with mode 0666 less the umask, as ``open``
-    would create the file, since the rename keeps the temp file's mode.
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text then atomically rename into place, unless already there.
+
+    A regular file that already holds the same bytes is left untouched:
+    its inode, mode and mtime stay as they were. Anything else (a missing
+    file, other bytes, a symlink, a read error) is replaced through a temp
+    file. The temp file is created with mode 0666 less the umask, as
+    ``open`` would create the file, since the rename keeps its mode.
     """
+    data = text.encode(locale.getpreferredencoding(False))
+    if _holds(path, data):
+        return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -71,12 +95,18 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+# Cell spellings that match format_value, applied per column in C: floats
+# through %.17g, integers through str; bools keep format_value's true/false.
+_FORMAT_BY_KIND = {"f": _FLOAT_FORMAT.__mod__, "i": str, "u": str}
+
+
 def _format_column(column) -> list:
-    """One column's cells: float arrays in one pass, anything else per entry."""
+    """One column's cells: numeric arrays and str lists in one C-level pass."""
     if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return list(map(format_float, column.tolist()))
-        column = column.tolist()
+        fmt = _FORMAT_BY_KIND.get(column.dtype.kind, format_value)
+        return list(map(fmt, column.tolist()))
+    if set(map(type, column)) == {str}:
+        return list(column)
     return list(map(format_value, column))
 
 

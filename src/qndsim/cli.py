@@ -149,20 +149,36 @@ def cmd_feasibility(args) -> int:
     return 0 if report.ok else 2
 
 
+# Largest dimension evolve picks without --dim. The state is a dense d x d
+# complex matrix, 16 d^2 bytes, and DOP853 holds about a dozen vectors of
+# that size, so d = 1024 already asks for ~200 MB before the first step.
+MAX_PICKED_DIM = 1024
+
+
+def _picked_dim(dim: int) -> int:
+    """A dimension chosen without --dim, refused above ``MAX_PICKED_DIM``."""
+    if dim > MAX_PICKED_DIM:
+        raise ValueError(
+            "initial state would need dimension %d, more than the %d picked "
+            "without --dim; pass --dim to choose the size" % (dim, MAX_PICKED_DIM)
+        )
+    return dim
+
+
 def _parse_initial(spec: str, dim_arg):
     kind, _, rest = spec.partition(":")
     if kind == "fock" and rest:
         k = int(rest)
-        dim = max(k + 5, 12) if dim_arg is None else dim_arg
+        dim = _picked_dim(max(k + 5, 12)) if dim_arg is None else dim_arg
         return fock_state(dim, k), dim
     if kind == "thermal" and rest:
         nbar = _number("thermal occupancy")(rest)
         if dim_arg is None:
-            dim_arg = max(suggest_dim(nbar, tail_mass=1e-9) + 4, 12)
+            dim_arg = _picked_dim(max(suggest_dim(nbar, tail_mass=1e-9) + 4, 12))
         return thermal_state(dim_arg, nbar), dim_arg
     if kind == "diag" and rest:
         probs = list(map(_number("diag probability"), rest.split(",")))
-        dim = max(len(probs) + 4, 12) if dim_arg is None else dim_arg
+        dim = _picked_dim(max(len(probs) + 4, 12)) if dim_arg is None else dim_arg
         if dim < len(probs):
             raise ValueError("--dim smaller than the diag probability list")
         padded = probs + [0.0] * (dim - len(probs))

@@ -228,5 +228,9 @@ def suggest_dim(nbar: float, tail_mass: float = 1e-6, minimum: int = 2) -> int:
     if nbar == 0:
         return max(2, minimum)
     r = nbar / (nbar + 1.0)
+    if r == 1.0:
+        raise ValueError(
+            "occupancy %r is too large to size a truncated state" % nbar
+        )
     d = int(math.ceil(math.log(tail_mass) / math.log(r)))
     return max(d, 2, minimum)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qndsim import _kernels
+from qndsim import _kernels, cli
 from qndsim.cli import TWOMODE_KEYS, main
 from qndsim.constants import TWO_PI
 from qndsim.coupling import ModeField, PermittivityPerturbation, write_field_csv
@@ -156,6 +156,32 @@ class TestEvolve:
         )
         assert code == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("initial, message", [
+        # suggest_dim gives 2,072,326,586; the pick adds 4
+        ("thermal:1e8", "dimension 2072326590"),
+        # nbar / (nbar + 1) rounds to 1
+        ("thermal:1e17", "too large"),
+        ("fock:1020", "dimension 1025"),
+    ])
+    def test_oversized_initial_state_exits_one(
+        self, initial, message, ref_config, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("state built with %r" % (args,))
+
+        monkeypatch.setattr(cli, "thermal_state", refuse)
+        monkeypatch.setattr(cli, "fock_state", refuse)
+        out = tmp_path / "out.csv"
+        code = main(
+            ["evolve", "--config", ref_config, "--initial", initial,
+             "--t-final", "1e-4", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not out.exists()
 
 
 class TestTraject:
@@ -646,20 +672,68 @@ class TestArtifactBytes:
         "win_stats.json": "59eed64b3ef7e7260db6257b3586d6c2f164ca382a9873546dd038e2f8221272",
     }
 
+    def run_all(self, config, out):
+        for argv in self.RUNS:
+            args = [a.format(d=out) for a in argv[1:]]
+            assert main([argv[0], "--config", config] + args) == 0
+
+    @staticmethod
+    def digests(out):
+        return {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())
+        }
+
     def test_files_match_recorded_digests(
         self, ref_config, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setenv("QND_THREADS", "1")
         out = tmp_path / "out"
         out.mkdir()
-        for argv in self.RUNS:
-            args = [a.format(d=out) for a in argv[1:]]
-            assert main([argv[0], "--config", ref_config] + args) == 0
-        got = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        self.run_all(ref_config, out)
+        assert self.digests(out) == self.SHA256
+
+    @staticmethod
+    def file_states(out):
+        return {
+            p.name: (st.st_ino, st.st_mtime_ns, st.st_mode)
             for p in sorted(out.iterdir())
+            for st in [p.stat()]
         }
-        assert got == self.SHA256
+
+    def test_rerun_leaves_files_untouched(self, ref_config, tmp_path, monkeypatch):
+        monkeypatch.setenv("QND_THREADS", "1")
+        out = tmp_path / "out"
+        out.mkdir()
+        self.run_all(ref_config, out)
+        # a mode the rewrite would not give, to show the file is left alone
+        (out / "rates.csv").chmod(0o600)
+        before = self.file_states(out)
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(
+            os, "replace", lambda *a: replaced.append(a) or real_replace(*a)
+        )
+        self.run_all(ref_config, out)
+        assert replaced == []
+        assert self.file_states(out) == before
+        assert not list(out.glob(".tmp-*"))
+        assert self.digests(out) == self.SHA256
+
+    def test_changed_config_rewrites_its_files(self, ref_config, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        self.run_all(ref_config, out)
+        before = self.file_states(out)
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(dict(REF_KW, nbar_th=0.5)))
+        sweep = [a.format(d=out) for a in self.RUNS[1]]
+        assert main(sweep[:1] + ["--config", str(changed)] + sweep[1:]) == 0
+        after = self.file_states(out)
+        assert after["sweep.csv"][0] != before["sweep.csv"][0]
+        assert "nbar_th=0.5" in (out / "sweep.csv").read_text()
+        del before["sweep.csv"], after["sweep.csv"]
+        assert after == before
 
 
 class TestExactPathBytes:

@@ -210,6 +210,9 @@ class TestSuggestDim:
             suggest_dim(-0.1)
         with pytest.raises(ValueError):
             suggest_dim(1.0, tail_mass=0.0)
+        # nbar / (nbar + 1) rounds to 1: no finite dimension holds the tail
+        with pytest.raises(ValueError, match="too large"):
+            suggest_dim(1e17, tail_mass=1e-9)
 
     @given(nbar=st.floats(0.01, 100.0), minimum=st.integers(2, 30))
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,8 @@
-"""The deterministic output helpers: spellings and the column-wise CSV renderer."""
+"""The deterministic output helpers: spellings, the column-wise CSV renderer
+and the atomic write that skips identical files."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -95,6 +97,28 @@ class TestRenderCsv:
             "0.33333333333333331,3,false",
         ]
 
+    @pytest.mark.parametrize("dtype, values", [
+        (np.int8, [-128, 0, 127]),
+        (np.uint8, [0, 1, 255]),
+        (np.int64, [-(2**63), 0, 2**63 - 1]),
+        (np.uint64, [0, 2**63 + 12345, 2**64 - 1]),  # above the int64 range
+        (np.float32, [0.1, -0.0, 1.0 / 3.0, 3.4e38, np.inf, np.nan, 1e-45]),
+        (np.float64, [0.1, -0.0, 5e-324, -np.inf, np.nan]),
+        (bool, [True, False, True]),
+    ])
+    def test_typed_arrays_match_row_renderer(self, dtype, values):
+        column = np.array(values, dtype=dtype)
+        # the row renderer sees each cell as its Python value
+        rows = [[v] for v in column.tolist()]
+        assert _io.render_csv(["x"], [column]) == render_rows(["x"], rows)
+
+    def test_str_column_matches_row_renderer(self):
+        names = [CHANNELS[k % len(CHANNELS)] for k in range(9)]
+        rows = [[k, name] for k, name in enumerate(names)]
+        assert _io.render_csv(["k", "channel"], [range(9), names]) == render_rows(
+            ["k", "channel"], rows
+        )
+
     def test_empty_columns_give_header_only(self):
         assert _io.render_csv(["a", "b"], [np.array([]), []]) == "a,b\n"
         assert _io.render_csv(["a", "b"], []) == "a,b\n"
@@ -149,3 +173,50 @@ class TestArtifactText:
         path = tmp_path / "evolve.csv"
         result.write_csv(str(path), meta={"dim": 8})
         assert path.read_text() == render_rows(header, rows, {"dim": 8})
+
+
+class TestAtomicWrite:
+    """A write whose bytes the file already holds leaves the file alone."""
+
+    def test_identical_bytes_leave_the_file_untouched(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.csv"
+        _io.atomic_write_text(str(path), "x\n1\n")
+        before = path.stat()
+        monkeypatch.setattr(os, "replace", None)  # a rename would fail
+        _io.atomic_write_text(str(path), "x\n1\n")
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert os.listdir(tmp_path) == ["a.csv"]
+
+    def test_same_size_other_bytes_replaced(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("x\n1\n")
+        _io.atomic_write_text(str(path), "x\n2\n")
+        assert path.read_text() == "x\n2\n"
+        assert os.listdir(tmp_path) == ["a.csv"]
+
+    def test_symlink_replaced_by_regular_file(self, tmp_path):
+        # the link's own size, len("target.csv"), equals the text's
+        text = "x\n1234567\n"
+        target = tmp_path / "target.csv"
+        target.write_text(text)
+        path = tmp_path / "a.csv"
+        path.symlink_to("target.csv")
+        assert os.lstat(path).st_size == len(text)
+        _io.atomic_write_text(str(path), text)
+        assert not path.is_symlink() and path.read_text() == text
+        assert target.read_text() == text
+
+    def test_fifo_replaced_without_being_opened(self, tmp_path):
+        path = tmp_path / "a.csv"
+        os.mkfifo(path)
+        _io.atomic_write_text(str(path), "x\n1\n")
+        assert path.is_file() and path.read_text() == "x\n1\n"
+
+    def test_directory_still_raises(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.mkdir()
+        with pytest.raises(OSError):
+            _io.atomic_write_text(str(path), "")
+        assert path.is_dir()
+        assert os.listdir(tmp_path) == ["a.csv"]

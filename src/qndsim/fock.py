@@ -5,9 +5,9 @@ dim <= 8) are small enough that sparse bookkeeping would cost more than it
 saves. Hamiltonian matrices are stored as angular rates (divided by hbar),
 so no physical constant ever enters the numerics.
 
-Tensor-product convention: the cavity factor comes first, the mechanical
-factor second; a product basis index is i_cavity * dim_m + n_mech.
-Operators are treated as immutable after construction.
+Operators are plain complex ``ndarray``s. Tensor-product convention: the
+cavity factor comes first in ``np.kron``, the mechanical factor second; a
+product basis index is i_cavity * dim_m + n_mech.
 """
 
 from __future__ import annotations
@@ -21,54 +21,13 @@ from .system import SystemParams
 
 
 @dataclass(frozen=True)
-class FockOperator:
-    """Dense operator on a truncated Fock space."""
-
-    entries: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator entries must be finite")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.entries.conj().T, label=self.label + "^dag")
-
-    def __matmul__(self, other):
-        o = other.entries if isinstance(other, FockOperator) else other
-        return FockOperator(self.entries @ o)
-
-    def __add__(self, other):
-        o = other.entries if isinstance(other, FockOperator) else other
-        return FockOperator(self.entries + o)
-
-    def __sub__(self, other):
-        o = other.entries if isinstance(other, FockOperator) else other
-        return FockOperator(self.entries - o)
-
-    def __rmul__(self, scalar):
-        return FockOperator(scalar * self.entries, label=self.label)
-
-    def __neg__(self):
-        return FockOperator(-self.entries, label=self.label)
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix with construction-time sanity checks.
 
     Hermiticity (1e-12) and unit trace (1e-10) are enforced here;
-    positivity is certified on demand through :meth:`min_eigenvalue`
-    because a per-construction eigendecomposition would dominate the cost
-    of time stepping.
+    positivity is not, because a per-construction eigendecomposition would
+    dominate the cost of time stepping. :func:`lindblad.evolve` reports
+    the minimum eigenvalue at every grid point instead.
     """
 
     entries: np.ndarray
@@ -92,37 +51,16 @@ class DensityMatrix:
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.entries)).copy()
 
-    def min_eigenvalue(self) -> float:
-        h = (self.entries + self.entries.conj().T) / 2.0
-        return float(np.linalg.eigvalsh(h)[0])
-
 
 def ladder(dim: int):
-    """Annihilation, creation and number operators on dim Fock states."""
+    """b, b† and b†b on dim Fock states, as complex arrays."""
     if dim < 2:
         raise ValueError("truncation dimension must be at least 2")
     b = np.zeros((dim, dim), dtype=complex)
     for n in range(1, dim):
         b[n - 1, n] = math.sqrt(n)
     bdag = b.conj().T
-    n_op = bdag @ b
-    return (
-        FockOperator(b, label="b"),
-        FockOperator(bdag, label="b^dag"),
-        FockOperator(n_op, label="n"),
-    )
-
-
-def identity(dim: int) -> FockOperator:
-    return FockOperator(np.eye(dim, dtype=complex), label="1")
-
-
-def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
-    """Kronecker product; first factor is the cavity by convention."""
-    return FockOperator(
-        np.kron(a.entries, b.entries),
-        label="(%s)x(%s)" % (a.label, b.label),
-    )
+    return b, bdag, bdag @ b
 
 
 def fock_state(dim: int, n: int) -> DensityMatrix:
@@ -165,12 +103,11 @@ def product_state(rho_c: DensityMatrix, rho_m: DensityMatrix) -> DensityMatrix:
 def dissipator_action(o, rho) -> np.ndarray:
     """Apply the dissipator D[o]rho = 2 o rho o† - o†o rho - rho o†o.
 
-    Accepts FockOperator/DensityMatrix wrappers or bare arrays; returns a
-    bare complex array. The result is traceless and Hermitian whenever rho
-    is Hermitian. Every dissipative channel in the package goes through
-    this one function.
+    ``rho`` may be a DensityMatrix or a bare array; returns a bare complex
+    array. The result is traceless and Hermitian whenever rho is Hermitian.
+    Every dissipative channel in the package goes through this one function.
     """
-    om = o.entries if isinstance(o, FockOperator) else np.asarray(o, dtype=complex)
+    om = np.asarray(o, dtype=complex)
     rm = (
         rho.entries
         if isinstance(rho, DensityMatrix)
@@ -193,26 +130,28 @@ def hamiltonian_split(
 
     H0 = [omega_c + g2 (b†b + 1/2)] a†a + omega_m b†b commutes with the
     phonon number; H' = g1 (b + b†) a†a + (g2/2)(bb + b†b†) a†a does not.
-    Both live on the dim_c * dim_m product space in rad/s. The optical
+    Both are dim_c * dim_m product-space matrices in rad/s. The optical
     carrier omega_c only shifts diagonal entries and defaults to zero.
     """
     if dim_c < 2 or dim_m < 2:
         raise ValueError("both dimensions must be at least 2")
+    if not math.isfinite(omega_c):
+        raise ValueError("omega_c must be finite (got %r)" % omega_c)
     p = params
     a, adag, n_a = ladder(dim_c)
     b, bdag, n_b = ladder(dim_m)
-    eye_m = identity(dim_m)
+    eye_m = np.eye(dim_m, dtype=complex)
     bb = b @ b
     bdbd = bdag @ bdag
     h0 = (
-        tensor(n_a, (omega_c * eye_m) + p.g2 * (n_b + 0.5 * eye_m)).entries
-        + p.omega_m * tensor(identity(dim_c), n_b).entries
+        np.kron(n_a, (omega_c * eye_m) + p.g2 * (n_b + 0.5 * eye_m))
+        + p.omega_m * np.kron(np.eye(dim_c, dtype=complex), n_b)
     )
     hp = (
-        p.g1 * tensor(n_a, b + bdag).entries
-        + (p.g2 / 2.0) * tensor(n_a, bb + bdbd).entries
+        p.g1 * np.kron(n_a, b + bdag)
+        + (p.g2 / 2.0) * np.kron(n_a, bb + bdbd)
     )
-    return FockOperator(h0, label="H0"), FockOperator(hp, label="Hprime")
+    return h0, hp
 
 
 def suggest_dim(nbar: float, tail_mass: float = 1e-6, minimum: int = 2) -> int:

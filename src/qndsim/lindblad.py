@@ -21,17 +21,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _io
 from .cavity import susceptibility
 from .fock import (
     DensityMatrix,
-    FockOperator,
     dissipator_action,
     fock_state,
-    identity,
     ladder,
     product_state,
-    tensor,
 )
 from .rates import CHANNELS, channel_coefficients, number_dephasing_weight
 from .system import SystemParams
@@ -73,7 +69,7 @@ class LindbladGenerator:
         for op, w in self.channels:
             if not (w >= 0 and math.isfinite(w)):
                 raise ValueError("channel weights must be non-negative and finite")
-            m = op.entries if isinstance(op, FockOperator) else np.asarray(op, complex)
+            m = np.asarray(op, complex)
             if m.shape != h.shape or not np.all(np.isfinite(m)):
                 raise ValueError("channel operator must be finite, of H's shape")
             ops.append((m, float(w)))
@@ -104,9 +100,6 @@ class LindbladGenerator:
             if w != 0.0:
                 out += (w / 2.0) * dissipator_action(op, r)
         return out
-
-    def __call__(self, rho) -> np.ndarray:
-        return self.apply(rho)
 
     def superoperator(self) -> sparse.csr_matrix:
         """Sparse CSR matrix (1/s) acting on row-major vectorized density matrices.
@@ -196,19 +189,12 @@ class EvolutionResult:
         )
         return header, columns
 
-    def write_csv(self, path: str, meta: dict | None = None) -> None:
-        header, columns = self.csv_header_columns()
-        _io.write_csv(path, header, columns, meta=meta or self.meta)
-
     def to_json_dict(self) -> dict:
         return {
             "times_s": [float(t) for t in self.times],
             "populations": [[float(x) for x in row] for row in self.populations],
             "diagnostics": self.diagnostics(),
         }
-
-    def write_json(self, path: str, meta: dict | None = None) -> None:
-        _io.write_json(path, self.to_json_dict(), meta=meta or self.meta)
 
 
 def reduced_generator(params: SystemParams, dim: int) -> LindbladGenerator:
@@ -247,12 +233,12 @@ def reduced_generator(params: SystemParams, dim: int) -> LindbladGenerator:
 
     wm = p.omega_m
     h = p.nbar_photon * (
-        g1sq * (im_chi(wm) + im_chi(-wm)) * n_op.entries
-        + g2sq * im_chi(0.0) * (n_op @ n_op).entries
+        g1sq * (im_chi(wm) + im_chi(-wm)) * n_op
+        + g2sq * im_chi(0.0) * (n_op @ n_op)
         + (g2sq / 4.0)
         * (
-            im_chi(2.0 * wm) * (bb @ bdbd).entries
-            + im_chi(-2.0 * wm) * (bdbd @ bb).entries
+            im_chi(2.0 * wm) * (bb @ bdbd)
+            + im_chi(-2.0 * wm) * (bdbd @ bb)
         )
     )
     return LindbladGenerator(
@@ -278,21 +264,18 @@ def bipartite_generator(
     p = params
     d_op, ddag, n_d = ladder(dim_c)
     b, bdag, n_b = ladder(dim_m)
-    eye_c, eye_m = identity(dim_c), identity(dim_m)
+    eye_c, eye_m = np.eye(dim_c, dtype=complex), np.eye(dim_m, dtype=complex)
     abar = math.sqrt(p.nbar_photon)
-    mech = (
-        p.g1 * (b + bdag).entries
-        + (p.g2 / 2.0) * (2.0 * n_b.entries + (b @ b).entries + (bdag @ bdag).entries)
-    )
+    mech = p.g1 * (b + bdag) + (p.g2 / 2.0) * (2.0 * n_b + b @ b + bdag @ bdag)
     h = (
-        p.delta * tensor(n_d, eye_m).entries
-        + p.omega_m * tensor(eye_c, n_b).entries
-        + abar * np.kron((d_op + ddag).entries, mech)
+        p.delta * np.kron(n_d, eye_m)
+        + p.omega_m * np.kron(eye_c, n_b)
+        + abar * np.kron(d_op + ddag, mech)
     )
     channels = [
-        (tensor(d_op, eye_m), p.kappa),
-        (tensor(eye_c, b), p.gamma_m * (p.nbar_th + 1.0)),
-        (tensor(eye_c, bdag), p.gamma_m * p.nbar_th),
+        (np.kron(d_op, eye_m), p.kappa),
+        (np.kron(eye_c, b), p.gamma_m * (p.nbar_th + 1.0)),
+        (np.kron(eye_c, bdag), p.gamma_m * p.nbar_th),
     ]
     return LindbladGenerator(
         hamiltonian=h,
@@ -316,15 +299,14 @@ def evolve(
     t_final: float,
     grid: int = 201,
     rtol: float = 1e-8,
-    atol: float = 1e-12,
-    method: str = "DOP853",
     store_states: bool = False,
 ) -> EvolutionResult:
-    """Integrate d(rho)/dt = gen(rho) from rho0 over [0, t_final] seconds.
+    """Integrate d(rho)/dt = gen.apply(rho) from rho0 over [0, t_final] seconds.
 
-    Adaptive stepping with relative tolerance ``rtol``; no trace
-    renormalization is applied, trace drift shows up in the diagnostics.
-    Raises on integrator stall, naming the stiffness ratio.
+    Adaptive DOP853 stepping with relative tolerance ``rtol`` and absolute
+    tolerance 1e-12; no trace renormalization is applied, trace drift
+    shows up in the diagnostics. Raises on integrator stall, naming the
+    stiffness ratio.
     """
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("t_final must be positive and finite")
@@ -340,10 +322,10 @@ def evolve(
         lambda _tau, y: sup @ y,
         (0.0, t_final * ts),
         r0.reshape(-1).astype(complex),
-        method=method,
+        method="DOP853",
         t_eval=tau_grid,
         rtol=rtol,
-        atol=atol,
+        atol=1e-12,
     )
     if not sol.success:
         w_max = max((w for _, w in gen.channels), default=0.0)
@@ -369,7 +351,8 @@ def steady_state(gen: LindbladGenerator) -> DensityMatrix:
 
     Raises "non-unique steady state" when the LU factors are singular or
     their pivot gap min|U_ii| / max|U_ii| is below 1e-10. The result
-    satisfies gen(rho) = 0 to 1e-10 relative to the generator's rate scale.
+    satisfies gen.apply(rho) = 0 to 1e-10 relative to the generator's rate
+    scale.
     """
     from scipy.sparse.linalg import splu
 

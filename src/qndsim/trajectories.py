@@ -572,9 +572,10 @@ def ensemble(
     """Run ``count`` trajectories seeded seed_base + i and reduce them.
 
     ``source`` selects the sampler: SystemParams runs the jump chain,
-    LindbladGenerator runs the quantum-jump unraveling from |n0>. The
-    reduction is performed in trajectory-index order regardless of worker
-    scheduling, so results are independent of the thread count. With
+    LindbladGenerator runs the quantum-jump unraveling from |n0>, or from
+    |0>_c (x) |n0>_m for a bipartite generator. The reduction is performed
+    in trajectory-index order regardless of worker scheduling, so results
+    are independent of the thread count. With
     ``return_trajectories`` the result is (stats, list_of_trajectories).
     """
     if count < 1:
@@ -592,10 +593,13 @@ def ensemble(
             "measurement_to_thermal": measurement_to_thermal_ratio(source),
         }
     elif isinstance(source, LindbladGenerator):
-        cap = source.dim if n_cap is None else int(n_cap)
+        dims = source.subsystem_dims
+        levels = source.dim if dims is None else dims[1]
+        cap = levels if n_cap is None else int(n_cap)
+        if not 0 <= n0 < levels:
+            raise ValueError("n0 must lie in 0..%d (phonon levels)" % (levels - 1))
+        # cavity factor first: |0>_c (x) |n0>_m sits at product index n0
         psi0 = np.zeros(source.dim, dtype=complex)
-        if not 0 <= n0 < source.dim:
-            raise ValueError("initial state outside generator dimension")
         psi0[n0] = 1.0
 
         def one(i: int) -> Trajectory:

@@ -9,12 +9,13 @@ back onto the single-mode rate formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockOperator, identity, ladder, tensor
+from .fock import ladder
 from .system import _require_finite
 
 
@@ -121,8 +122,15 @@ class TwoModeParams:
         )
 
 
-def _three_mode(op1, op2, op_m) -> FockOperator:
-    return tensor(tensor(op1, op2), op_m)
+def _three_mode(op1, op2, op_m) -> np.ndarray:
+    return np.kron(np.kron(op1, op2), op_m)
+
+
+def _check_mech(x_zpf: float, omega_m: float) -> None:
+    if not (x_zpf > 0 and math.isfinite(x_zpf)):
+        raise ValueError("x_zpf must be positive and finite (got %r)" % x_zpf)
+    if not math.isfinite(omega_m):
+        raise ValueError("omega_m must be finite (got %r)" % omega_m)
 
 
 def twomode_hamiltonian(
@@ -131,18 +139,19 @@ def twomode_hamiltonian(
     dim_mech: int | None = None,
     x_zpf: float = 1.0,
     omega_m: float = 0.0,
-) -> FockOperator:
+) -> np.ndarray:
     """H in the bare a1/a2 basis, rad/s, on mode1 x mode2 x mechanics.
 
     Position enters as x = x_zpf (b + b^dag); with the default x_zpf = 1 m
     the G coefficients are read directly as rad/s per phonon-quadrature
     unit, which keeps structural tests free of scale factors.
     """
+    _check_mech(x_zpf, omega_m)
     dm = dim if dim_mech is None else dim_mech
     a, adag, n_op = ladder(dim)
     b, bdag, n_b = ladder(dm)
-    i_o = identity(dim)
-    i_m = identity(dm)
+    i_o = np.eye(dim, dtype=complex)
+    i_m = np.eye(dm, dtype=complex)
     x_op = x_zpf * (b + bdag)
     x2_op = x_op @ x_op
 
@@ -169,7 +178,7 @@ def supermode_hamiltonian(
     dim_mech: int | None = None,
     x_zpf: float = 1.0,
     omega_m: float = 0.0,
-) -> FockOperator:
+) -> np.ndarray:
     """H in the hybridized a+/a- basis, rad/s.
 
     The coupling terms split into sum combinations acting on each
@@ -182,11 +191,12 @@ def supermode_hamiltonian(
             "supermode basis requires degenerate bare modes "
             "(omega_1 == omega_2); build twomode_hamiltonian instead"
         )
+    _check_mech(x_zpf, omega_m)
     dm = dim if dim_mech is None else dim_mech
     a, adag, n_op = ladder(dim)
     b, bdag, n_b = ladder(dm)
-    i_o = identity(dim)
-    i_m = identity(dm)
+    i_o = np.eye(dim, dtype=complex)
+    i_m = np.eye(dm, dtype=complex)
     x_op = x_zpf * (b + bdag)
     x2_op = x_op @ x_op
 

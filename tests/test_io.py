@@ -171,7 +171,7 @@ class TestArtifactText:
             for k in range(len(result.times))
         ]
         path = tmp_path / "evolve.csv"
-        result.write_csv(str(path), meta={"dim": 8})
+        _io.write_csv(str(path), *result.csv_header_columns(), meta={"dim": 8})
         assert path.read_text() == render_rows(header, rows, {"dim": 8})
 
 

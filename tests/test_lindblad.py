@@ -123,7 +123,7 @@ class TestReducedGenerator:
         shift = p.nbar_photon * p.g2**2 * susceptibility(
             2.0 * p.omega_m, 0.0, p.kappa
         ).imag
-        expect = shift * (n_op.entries + 0.5 * np.eye(dim))
+        expect = shift * (n_op + 0.5 * np.eye(dim))
         # the truncation corner (top two states) deviates by construction
         inner = slice(0, dim - 2)
         assert np.allclose(gen.hamiltonian[inner, inner], expect[inner, inner],
@@ -132,7 +132,7 @@ class TestReducedGenerator:
     def test_hamiltonian_commutes_with_number(self, ref_params):
         gen = reduced_generator(make_ref(delta_hz=7e7), 8)
         _, _, n_op = ladder(8)
-        comm = gen.hamiltonian @ n_op.entries - n_op.entries @ gen.hamiltonian
+        comm = gen.hamiltonian @ n_op - n_op @ gen.hamiltonian
         assert np.max(np.abs(comm)) == 0.0
 
     def test_pure_decay_limit(self):
@@ -210,29 +210,29 @@ class TestGeneratorInvariants:
         b, bdag, n_op = ladder(4)
         with pytest.raises(ValueError):
             LindbladGenerator(
-                hamiltonian=b.entries, channels=[(b, 1.0)], time_scale=1.0
+                hamiltonian=b, channels=[(b, 1.0)], time_scale=1.0
             )  # non-Hermitian H
         with pytest.raises(ValueError):
             LindbladGenerator(
-                hamiltonian=n_op.entries, channels=[(b, -1.0)], time_scale=1.0
+                hamiltonian=n_op, channels=[(b, -1.0)], time_scale=1.0
             )  # negative weight
         with pytest.raises(ValueError, match="weights"):
             LindbladGenerator(
-                hamiltonian=n_op.entries, channels=[(b, math.nan)], time_scale=1.0
+                hamiltonian=n_op, channels=[(b, math.nan)], time_scale=1.0
             )
         with pytest.raises(ValueError, match="time_scale"):
             LindbladGenerator(
-                hamiltonian=n_op.entries, channels=[(b, 1.0)], time_scale=math.nan
+                hamiltonian=n_op, channels=[(b, 1.0)], time_scale=math.nan
             )
-        h = n_op.entries.astype(complex)
+        h = n_op.astype(complex)
         h[2, 2] = math.nan
         with pytest.raises(ValueError, match="hamiltonian"):
             LindbladGenerator(hamiltonian=h, channels=[(b, 1.0)], time_scale=1.0)
-        o = b.entries.copy()
+        o = b.copy()
         o[0, 1] = math.nan
         with pytest.raises(ValueError, match="operator"):
             LindbladGenerator(
-                hamiltonian=n_op.entries, channels=[(o, 1.0)], time_scale=1.0
+                hamiltonian=n_op, channels=[(o, 1.0)], time_scale=1.0
             )
 
 
@@ -271,8 +271,8 @@ class TestBipartiteGenerator:
         gen = bipartite_generator(p, 3, 4)
         _, _, n_d = ladder(3)
         _, _, n_b = ladder(4)
-        expect = p.delta * np.kron(n_d.entries, np.eye(4)) + p.omega_m * np.kron(
-            np.eye(3), n_b.entries
+        expect = p.delta * np.kron(n_d, np.eye(4)) + p.omega_m * np.kron(
+            np.eye(3), n_b
         )
         assert np.allclose(gen.hamiltonian, expect, rtol=1e-12)
 

@@ -10,7 +10,12 @@ import pytest
 from qndsim import trajectories
 from qndsim.constants import TWO_PI
 from qndsim.fock import ladder
-from qndsim.lindblad import LindbladGenerator, evolve, reduced_generator
+from qndsim.lindblad import (
+    LindbladGenerator,
+    bipartite_generator,
+    evolve,
+    reduced_generator,
+)
 from qndsim.rates import measurement_rate, transition_rates
 from qndsim.trajectories import (
     CHANNELS,
@@ -631,6 +636,33 @@ class TestQuantumJump:
         assert stats.meta["sampler"] == "quantum_jump"
         assert stats.histogram.sum() == pytest.approx(1.0)
         assert stats.histogram[0] > 0.5
+
+    def test_ensemble_bipartite_source_starts_in_cavity_vacuum(self, monkeypatch):
+        # compressed units (kappa = 1 rad/s): the coupling makes the drift
+        # non-diagonal, so every jump time comes from a brentq crossing
+        p = make_ref(
+            omega_m_hz=10.0 / TWO_PI, kappa_hz=1.0 / TWO_PI,
+            gamma_m_hz=5e-4 / TWO_PI, g1_hz=0.22389 / TWO_PI,
+            g2_hz=0.283 / TWO_PI, nbar_th=0.2, nbar_photon=1.0,
+        )
+        gen = bipartite_generator(p, 2, 4)
+        solves = []
+        real_brentq = trajectories.brentq
+        monkeypatch.setattr(
+            trajectories, "brentq",
+            lambda *a, **k: solves.append(1) or real_brentq(*a, **k),
+        )
+        stats, trajs = ensemble(gen, 3, 20.0, 2, seed_base=3,
+                                return_trajectories=True)
+        assert [t.initial_n for t in trajs] == [3, 3]
+        assert stats.meta["n0"] == 3 and stats.meta["n_cap"] == 4
+        assert stats.counts.shape == (4, 6)
+        assert stats.time_in_state[3] == stats.t_total
+        # cavity decays leave the phonon number alone
+        assert stats.null_jumps > 0 and len(solves) >= stats.null_jumps
+        for bad in (-1, 4, 7):  # 4..7 are product indices with a photon
+            with pytest.raises(ValueError, match="phonon levels"):
+                ensemble(gen, bad, 20.0, 1, seed_base=3)
 
     def test_rejects_bad_state_vectors(self, ref_params):
         gen = reduced_generator(ref_params, 8)

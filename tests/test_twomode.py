@@ -70,7 +70,7 @@ class TestHamiltonians:
             + 0.3 * kron3(n, eye, x)
             - 0.3 * kron3(eye, n, x)
         )
-        assert np.max(np.abs(h.entries - want)) < 1e-15
+        assert np.max(np.abs(h - want)) < 1e-15
 
     def test_wgm_matrix_against_hand_built(self):
         p = TwoModeParams.wgm(5.0, 0.5, G1=0.3, G2=0.4)
@@ -90,14 +90,25 @@ class TestHamiltonians:
             + 0.3 * (kron3(n, eye, xm) + kron3(eye, n, xm))
             + 0.2 * (kron3(n, eye, xm @ xm) + kron3(eye, n, xm @ xm))
         )
-        assert np.max(np.abs(h.entries - want)) < 1e-14
+        assert np.max(np.abs(h - want)) < 1e-14
 
     def test_bare_splitting_is_twice_nu(self):
         # one-photon optical block at G = 0: eigenvalues omega_0 +/- nu
         p = TwoModeParams.degenerate(5.0, 0.5)
         h = twomode_hamiltonian(p, 2, dim_mech=2)
-        vals = np.sort(np.linalg.eigvalsh(h.entries))
+        vals = np.sort(np.linalg.eigvalsh(h))
         assert np.allclose(vals, [0, 0, 4.5, 4.5, 5.5, 5.5, 10, 10], atol=1e-12)
+
+    def test_mechanical_arguments_checked_at_entry(self):
+        p = TwoModeParams.wgm(5.0, 0.5, G1=0.3, G2=0.4)
+        for build in (twomode_hamiltonian, supermode_hamiltonian):
+            assert type(build(p, 2)) is np.ndarray
+            for x_zpf in (math.nan, math.inf, 0.0, -1e-15):
+                with pytest.raises(ValueError, match="x_zpf must be positive"):
+                    build(p, 2, x_zpf=x_zpf)
+            for omega_m in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="omega_m must be finite"):
+                    build(p, 2, omega_m=omega_m)
 
     def test_supermode_requires_degenerate_modes(self):
         p = TwoModeParams(omega_1=1.0, omega_2=2.0, nu=0.1)
@@ -112,7 +123,7 @@ class TestHamiltonians:
         em = np.eye(dm)
         n_tot = kron3(ns, eye, em) + kron3(eye, ns, em)
         for build in (twomode_hamiltonian, supermode_hamiltonian):
-            h = build(p, dim, dim_mech=dm, omega_m=1.3).entries
+            h = build(p, dim, dim_mech=dm, omega_m=1.3)
             comm = h @ n_tot - n_tot @ h
             assert np.max(np.abs(comm)) < 1e-12 * np.max(np.abs(h))
 
@@ -122,8 +133,8 @@ class TestHamiltonians:
         # spectra blockwise below that
         p = TwoModeParams.mim(5.0, 0.7, G1=0.3)
         dim, dm = 4, 3
-        h_bare = twomode_hamiltonian(p, dim, dim_mech=dm, omega_m=1.3).entries
-        h_super = supermode_hamiltonian(p, dim, dim_mech=dm, omega_m=1.3).entries
+        h_bare = twomode_hamiltonian(p, dim, dim_mech=dm, omega_m=1.3)
+        h_super = supermode_hamiltonian(p, dim, dim_mech=dm, omega_m=1.3)
         n1 = np.repeat(np.arange(dim), dim * dm)
         n2 = np.tile(np.repeat(np.arange(dim), dm), dim)
         for n in range(dim):
@@ -136,7 +147,7 @@ class TestHamiltonians:
         # identical pulls: each supermode population is conserved
         p = TwoModeParams.wgm(5.0, 0.7, G1=0.3, G2=0.1)
         dim, dm = 3, 3
-        h = supermode_hamiltonian(p, dim, dim_mech=dm, omega_m=1.3).entries
+        h = supermode_hamiltonian(p, dim, dim_mech=dm, omega_m=1.3)
         n_plus = kron3(np.diag(np.arange(3.0)), np.eye(3), np.eye(3))
         comm = h @ n_plus - n_plus @ h
         assert np.max(np.abs(comm)) < 1e-12 * np.max(np.abs(h))

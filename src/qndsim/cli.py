@@ -356,8 +356,6 @@ def cmd_sweep(args) -> int:
 
 TWOMODE_KEYS = (
     "omega_0_hz",
-    "omega_1_hz",
-    "omega_2_hz",
     "nu_hz",
     "kappa_hz",
     "delta_hz",
@@ -371,19 +369,12 @@ TWOMODE_KEYS = (
 
 def _load_twomode(path: str) -> tuple:
     raw = _load_json(path)
-    data = read_config(raw, TWOMODE_KEYS, ("nu_hz",))
-    if "omega_0_hz" in data:
-        if "omega_1_hz" in data or "omega_2_hz" in data:
-            raise ValueError("give either omega_0_hz or omega_1_hz/omega_2_hz")
-        omega_1 = omega_2 = data["omega_0_hz"] * TWO_PI
-    elif "omega_1_hz" in data and "omega_2_hz" in data:
-        omega_1 = data["omega_1_hz"] * TWO_PI
-        omega_2 = data["omega_2_hz"] * TWO_PI
-    else:
-        raise ValueError("config needs omega_0_hz or both omega_1_hz/omega_2_hz")
+    data = read_config(raw, TWOMODE_KEYS, ("omega_0_hz", "nu_hz"))
+    # the reports need degenerate modes, so one frequency serves both
+    omega_0 = data["omega_0_hz"] * TWO_PI
     p = TwoModeParams(
-        omega_1=omega_1,
-        omega_2=omega_2,
+        omega_1=omega_0,
+        omega_2=omega_0,
         nu=data["nu_hz"] * TWO_PI,
         G1_a1=data.get("G1_a1_hz_per_m", 0.0) * TWO_PI,
         G1_a2=data.get("G1_a2_hz_per_m", 0.0) * TWO_PI,

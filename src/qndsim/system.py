@@ -87,8 +87,9 @@ class SystemParams:
     power: float | None = None
     omega_d: float | None = None
     mass: float | None = None
-    # Raw Hz-level inputs (plus unitless fields) for exact ratio arithmetic.
-    _hz: dict | None = field(default=None, repr=False, compare=False)
+    # Raw Hz-level inputs (plus unitless fields) for exact ratio arithmetic;
+    # set by from_frequencies only, so a dataclasses.replace copy drops them
+    _hz: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite(self)
@@ -168,7 +169,7 @@ class SystemParams:
             "nbar_th": float(nbar_th),
             "nbar_photon": float(nbar_photon),
         }
-        return cls(
+        params = cls(
             omega_m=omega_m,
             gamma_m=TWO_PI * gamma_m_hz,
             kappa=kappa,
@@ -182,8 +183,9 @@ class SystemParams:
             power=power_w,
             omega_d=omega_d,
             mass=mass_kg,
-            _hz=hz,
         )
+        object.__setattr__(params, "_hz", hz)
+        return params
 
     # -- exact-ratio support ----------------------------------------------
 

@@ -6,6 +6,10 @@ unraveling of a Lindblad generator that serves as an independent oracle
 (its rates come from operator matrix elements, not the analytic
 combinatorial formulas).
 
+The unraveling reads each channel's label once (see simulate_quantum_jump).
+Truncation is never silent: a trajectory that reaches ``n_cap``, from
+either sampler, raises TruncationError with its seed, state and cap.
+
 Reproducibility: streams come from the counter-based Philox generator
 (numpy implementation), keyed directly by the trajectory seed; ensemble
 member i uses seed_base + i. The jump-chain sampler consumes exactly two
@@ -70,7 +74,6 @@ class Trajectory:
     new_ns: np.ndarray
     channels: np.ndarray
     null_jumps: int = 0
-    snapshot_times: np.ndarray | None = None
     snapshots: np.ndarray | None = None
 
     @property
@@ -246,12 +249,14 @@ def simulate_quantum_jump(
     Between jumps the state drifts under the non-Hermitian effective
     Hamiltonian; a jump fires when the squared norm crosses a uniform
     threshold, with the crossing located to machine precision; the channel
-    is drawn proportionally to w_k |o_k psi|^2. Jump channels are mapped
-    onto the CHANNELS enum through the generator's labels (or by the
-    phonon-number change for unlabeled generators); dephasing-type jumps,
-    which leave the number distribution fixed, are tallied in
-    ``null_jumps`` instead of the event arrays. Snapshots, when requested,
-    are normalized states on the given time grid (seconds).
+    is drawn proportionally to w_k |o_k psi|^2. A channel labelled with a
+    CHANNELS name records that event; ``"dephasing"`` records a null jump;
+    any other label, or none, records the event whose phonon-number change
+    is the jump's change in rounded mean n, or a null jump if none is.
+    Null jumps are tallied in ``null_jumps``, not the event arrays.
+    Snapshots, when requested, are normalized states on the given time grid
+    (seconds). A drift that no eigendecomposition reproduces to 1e-10
+    raises ValueError.
     """
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("t_final must be positive and finite")
@@ -265,26 +270,28 @@ def simulate_quantum_jump(
         raise ValueError("state vector must be nonzero")
     psi = psi / nrm
 
+    # what each channel records: a CHANNELS index, -1 for a null jump, or
+    # None to infer the channel from the change in rounded mean n
+    labels = gen.labels
+    if len(labels) != len(gen.channels):
+        labels = (None,) * len(gen.channels)
     ops = []
-    labels = []
-    have_labels = len(gen.labels) == len(gen.channels)
-    for k, (op, w) in enumerate(gen.channels):
+    records = []
+    for (op, w), label in zip(gen.channels, labels):
         if w > 0:
             ops.append((op, w))
-            labels.append(gen.labels[k] if have_labels else None)
+            records.append(-1 if label == "dephasing" else _CHANNEL_INDEX.get(label))
 
     h_eff = np.array(gen.hamiltonian, dtype=complex)
     for op, w in ops:
         h_eff = h_eff - 0.5j * w * (op.conj().T @ op)
     a_gen = -1j * h_eff / ts  # dimensionless-time drift generator
-    a_scale = float(np.max(np.abs(a_gen))) if dim else 0.0
     diag_a = np.diag(a_gen).copy()
     offdiag = float(np.max(np.abs(a_gen - np.diag(diag_a))))
-    diagonal_path = a_scale == 0.0 or offdiag <= 1e-14 * max(a_scale, 1.0)
-
-    evolver = None
-    if not diagonal_path:
-        evolver = _GeneralDrift(a_gen)
+    if offdiag <= 1e-14 * max(float(np.max(np.abs(a_gen))), 1.0):
+        drift = _DiagonalDrift(diag_a)
+    else:
+        drift = _GeneralDrift(a_gen)
 
     rng = make_rng(seed)
     tau_final = t_final * ts
@@ -305,18 +312,12 @@ def simulate_quantum_jump(
     null_jumps = 0
     prev_n = initial_n
 
-    def propagate(phi, d_tau):
-        if diagonal_path:
-            return np.exp(diag_a * d_tau) * phi
-        return evolver.apply(phi, d_tau)
-
     def record_snaps(phi_seg, tau_seg, tau_stop):
         nonlocal snap_idx
         if snap_taus is None:
             return
         while snap_idx < len(snap_taus) and snap_taus[snap_idx] <= tau_stop:
-            target = snap_taus[snap_idx]
-            phi = propagate(phi_seg, target - tau_seg)
+            phi = drift.apply(phi_seg, snap_taus[snap_idx] - tau_seg)
             nn = np.linalg.norm(phi)
             snaps_out[snap_idx] = phi / nn if nn > 0 else phi
             snap_idx += 1
@@ -328,16 +329,12 @@ def simulate_quantum_jump(
         delta_max = tau_final - tau
         if delta_max <= 0:
             break
-        crossing = _find_norm_crossing(
-            psi, r, delta_max, diagonal_path, diag_a, evolver
-        )
-        if crossing is None:
+        delta = drift.crossing(psi, r, delta_max)
+        if delta is None:
             record_snaps(psi, tau, tau_final)
-            tau = tau_final
             break
-        delta = crossing
         record_snaps(psi, tau, tau + delta)
-        phi = propagate(psi, delta)
+        phi = drift.apply(psi, delta)
         nn = np.linalg.norm(phi)
         if nn == 0:
             break
@@ -361,28 +358,17 @@ def simulate_quantum_jump(
         post = ops[k_sel][0] @ phi_hat
         post = post / np.linalg.norm(post)
         tau += delta
-        label = labels[k_sel]
-        if label == "dephasing":
+        ch = records[k_sel]
+        if ch is None:
+            dn = int(round(_mech_mean_n(post, gen.subsystem_dims))) - prev_n
+            ch = _DELTA_TO_CHANNEL.get(dn, -1)
+        if ch < 0:
             null_jumps += 1
-        elif label in _CHANNEL_INDEX:
-            ch = _CHANNEL_INDEX[label]
-            prev_n = prev_n + CHANNEL_DELTAS[ch]
+        else:
+            prev_n += CHANNEL_DELTAS[ch]
             ev_times.append(tau / ts)
             ev_ns.append(prev_n)
             ev_chs.append(ch)
-        else:
-            new_n = int(round(_mech_mean_n(post, gen.subsystem_dims)))
-            dn = new_n - prev_n
-            if dn == 0:
-                null_jumps += 1
-            elif dn in _DELTA_TO_CHANNEL:
-                ch = _DELTA_TO_CHANNEL[dn]
-                prev_n = new_n
-                ev_times.append(tau / ts)
-                ev_ns.append(prev_n)
-                ev_chs.append(ch)
-            else:
-                null_jumps += 1
         psi = post
     else:
         raise RuntimeError("jump budget exhausted; rates far exceed 1/t_final")
@@ -395,9 +381,6 @@ def simulate_quantum_jump(
         new_ns=np.asarray(ev_ns, dtype=np.int64),
         channels=np.asarray(ev_chs, dtype=np.uint8),
         null_jumps=null_jumps,
-        snapshot_times=(
-            None if snap_taus is None else np.asarray(snapshot_times, dtype=float)
-        ),
         snapshots=snaps_out,
     )
 
@@ -409,13 +392,26 @@ def brentq(*args, **kwargs):
     return optimize.brentq(*args, **kwargs)
 
 
-def _find_norm_crossing(psi, r, delta_max, diagonal_path, diag_a, evolver):
-    """Dimensionless time at which |psi(delta)|^2 falls to r, or None."""
-    if r <= 0.0:
-        return None
-    if diagonal_path:
+def _root(norm2, r, delta_max):
+    """The d in (0, delta_max) with norm2(d) == r, to machine precision."""
+    return brentq(lambda d: norm2(d) - r, 0.0, delta_max, xtol=1e-300,
+                  rtol=4 * np.finfo(float).eps)
+
+
+class _DiagonalDrift:
+    """Drift of a diagonal generator: each amplitude decays on its own."""
+
+    def __init__(self, diag_a: np.ndarray):
+        self.diag = diag_a
+        self.decay = 2.0 * np.real(diag_a)
+
+    def apply(self, phi: np.ndarray, d_tau: float) -> np.ndarray:
+        return np.exp(self.diag * d_tau) * phi
+
+    def crossing(self, psi: np.ndarray, r: float, delta_max: float):
+        """Dimensionless time at which |psi(delta)|^2 falls to r, or None."""
         w2 = np.abs(psi) ** 2
-        decay = 2.0 * np.real(diag_a)
+        decay = self.decay
 
         def norm2(d):
             return float(np.sum(w2 * np.exp(decay * d)))
@@ -428,46 +424,41 @@ def _find_norm_crossing(psi, r, delta_max, diagonal_path, diag_a, evolver):
             if decay[i] >= 0.0:
                 return None
             return math.log(r / w2[i]) / decay[i]
-        return brentq(lambda d: norm2(d) - r, 0.0, delta_max, xtol=1e-300,
-                      rtol=4 * np.finfo(float).eps)
-
-    def norm2_gen(d):
-        phi = evolver.apply(psi, d)
-        return float(np.vdot(phi, phi).real)
-
-    if norm2_gen(delta_max) >= r:
-        return None
-    return brentq(lambda d: norm2_gen(d) - r, 0.0, delta_max, xtol=1e-300,
-                  rtol=4 * np.finfo(float).eps)
+        return _root(norm2, r, delta_max)
 
 
 class _GeneralDrift:
-    """Propagator for a non-diagonal drift generator.
+    """Drift of a non-diagonal generator, through its eigendecomposition.
 
-    Uses an eigendecomposition when it reproduces the generator to 1e-10;
-    otherwise falls back to scipy's matrix exponential per requested step.
+    Raises ValueError when the decomposition does not reproduce the
+    generator to 1e-10 of its scale, as at an exceptional point.
     """
 
     def __init__(self, a_gen: np.ndarray):
-        self.a = a_gen
-        self.ok = False
-        try:
-            lam, vec = np.linalg.eig(a_gen)
-            vinv = np.linalg.inv(vec)
-            resid = np.max(np.abs(vec @ np.diag(lam) @ vinv - a_gen))
-            scale = max(1.0, float(np.max(np.abs(a_gen))))
-            if resid <= 1e-10 * scale:
-                self.lam, self.vec, self.vinv = lam, vec, vinv
-                self.ok = True
-        except np.linalg.LinAlgError:
-            pass
+        lam, vec = np.linalg.eig(a_gen)
+        vinv = np.linalg.inv(vec)
+        resid = float(np.max(np.abs(vec @ np.diag(lam) @ vinv - a_gen)))
+        scale = max(1.0, float(np.max(np.abs(a_gen))))
+        if not resid <= 1e-10 * scale:
+            raise ValueError(
+                "drift generator is not diagonalizable: eigendecomposition "
+                "residual %.3g exceeds 1e-10 of its scale %.6g" % (resid, scale)
+            )
+        self.lam, self.vec, self.vinv = lam, vec, vinv
 
     def apply(self, phi: np.ndarray, d_tau: float) -> np.ndarray:
-        if self.ok:
-            return self.vec @ (np.exp(self.lam * d_tau) * (self.vinv @ phi))
-        from scipy.linalg import expm
+        return self.vec @ (np.exp(self.lam * d_tau) * (self.vinv @ phi))
 
-        return expm(self.a * d_tau) @ phi
+    def crossing(self, psi: np.ndarray, r: float, delta_max: float):
+        """Dimensionless time at which |psi(delta)|^2 falls to r, or None."""
+
+        def norm2(d):
+            phi = self.apply(psi, d)
+            return float(np.vdot(phi, phi).real)
+
+        if norm2(delta_max) >= r:
+            return None
+        return _root(norm2, r, delta_max)
 
 
 @dataclass
@@ -575,8 +566,10 @@ def ensemble(
     LindbladGenerator runs the quantum-jump unraveling from |n0>, or from
     |0>_c (x) |n0>_m for a bipartite generator. The reduction is performed
     in trajectory-index order regardless of worker scheduling, so results
-    are independent of the thread count. With
-    ``return_trajectories`` the result is (stats, list_of_trajectories).
+    are independent of the thread count. A member that reaches ``n_cap``
+    (for the unraveling, by default the phonon levels) raises
+    TruncationError. With ``return_trajectories`` the result is
+    (stats, list_of_trajectories).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -625,13 +618,18 @@ def ensemble(
         # unbuffered, in-order np.add.at adds each stay in record order, so
         # the float sums are those of a per-event walk, bit for bit
         states, dwell, ends = traj.segments()
-        keep = states < cap
-        s, d, c = states[keep], dwell[keep], ends[keep]
-        np.add.at(time_in, s, d)
-        np.add.at(visits, s, 1)
-        done = c >= 0
-        np.add.at(completed, s[done], d[done])
-        np.add.at(counts, (s[done], c[done]), 1)
+        top = int(states.max())
+        if top >= cap:
+            raise TruncationError(
+                "truncation reached: seed %d reached n = %d, at or above "
+                "n_cap = %d; the ensemble is invalid (raise n_cap)"
+                % (traj.seed, top, cap)
+            )
+        np.add.at(time_in, states, dwell)
+        np.add.at(visits, states, 1)
+        done = ends >= 0
+        np.add.at(completed, states[done], dwell[done])
+        np.add.at(counts, (states[done], ends[done]), 1)
         nulls += traj.null_jumps
     meta.update(
         {

@@ -403,6 +403,18 @@ class TestTwomode:
         assert main(["twomode", "--config", str(path)]) == 1
         assert "unknown config key 'Q'" in capsys.readouterr().err
 
+    def test_mode_frequency_pair_refused(self, tmp_path, capsys):
+        # the reports assume degenerate modes, given as one omega_0_hz
+        path = tmp_path / "pair.json"
+        path.write_text(
+            json.dumps({"omega_1_hz": 2e14, "omega_2_hz": 2e14, "nu_hz": 1e9})
+        )
+        assert main(["twomode", "--config", str(path)]) == 1
+        assert "unknown config key 'omega_1_hz'" in capsys.readouterr().err
+        path.write_text(json.dumps({"nu_hz": 1e9}))
+        assert main(["twomode", "--config", str(path)]) == 1
+        assert "missing required config key 'omega_0_hz'" in capsys.readouterr().err
+
 
 class TestCoupling:
     def write_fields(self, tmp_path):

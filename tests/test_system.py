@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qndsim.constants import HBAR, K_B, TWO_PI
+from qndsim.rates import feasibility, measurement_rate
 from qndsim.system import (
     CONFIG_KEYS,
     REQUIRED_KEYS,
@@ -162,6 +163,18 @@ class TestDerivedScalars:
         assert ref_params.hz_fraction("nbar_th") == Fraction(1, 4)
         with pytest.raises(AttributeError):
             ref_params.hz_fraction("not_a_key")
+
+    def test_replaced_copy_drops_the_hz_inputs(self, ref_params):
+        # the Hz inputs describe the constructor's arguments, not a copy
+        # with a changed field, which falls back to its angular values
+        q = dataclasses.replace(ref_params, g2=2.0 * ref_params.g2)
+        assert q.hz_fraction("g2") == Fraction(q.g2) / Fraction(TWO_PI)
+        assert cooperativities(q).c2 == pytest.approx(32.0, rel=1e-12)
+        # at n = 0 the thermal rate is Gamma_th0 = gamma_m * nbar_th
+        ratio = feasibility(q, 0).ratios["meas_over_thermal"]
+        expect = measurement_rate(q) / (q.gamma_m * q.nbar_th)
+        assert expect == pytest.approx(128.0, rel=1e-12)
+        assert ratio == pytest.approx(expect, rel=1e-12)
 
 
 class TestMappingLoader:

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from qndsim.trajectories import (
 )
 
 from conftest import make_ref
+
+GOLDEN_QJ = Path(__file__).with_name("golden_quantum_jump.json")
 
 
 def decay_only_params(gamma_m_hz=1e3):
@@ -251,10 +255,15 @@ class TestStayReduction:
         self.assert_matches_walk(stats, trajs)
 
     def test_quantum_jump_ensemble_below_generator_dim(self):
-        # stays at or above n_cap = 3 are dropped, not clipped
+        # a chain that reaches n_cap = 3 invalidates the ensemble, as it
+        # does for the jump chain; its stays are neither dropped nor clipped
         gen = reduced_generator(make_ref(nbar_th=2.0), 10)
+        with pytest.raises(
+            TruncationError, match="seed 19 reached n = 8, at or above n_cap = 3"
+        ):
+            ensemble(gen, 1, 5e-4, 4, seed_base=17, n_cap=3)
         stats, trajs = ensemble(
-            gen, 1, 5e-4, 4, seed_base=17, n_cap=3, return_trajectories=True
+            gen, 1, 5e-4, 4, seed_base=17, return_trajectories=True
         )
         assert max(int(t.new_ns.max()) for t in trajs if t.n_events) >= 3
         self.assert_matches_walk(stats, trajs)
@@ -664,6 +673,22 @@ class TestQuantumJump:
             with pytest.raises(ValueError, match="phonon levels"):
                 ensemble(gen, bad, 20.0, 1, seed_base=3)
 
+    def test_exceptional_point_drift_raises(self):
+        # H = sigma_x with decay w = 4 from |1>: the drift -i H_eff has one
+        # double eigenvalue and a single eigenvector, so no eigendecomposition
+        # reproduces it and the sampler refuses to run
+        decay = np.diag([0.0, 1.0])
+        gen = LindbladGenerator(
+            hamiltonian=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            channels=[(decay, 4.0)],
+            time_scale=1.0,
+        )
+        with pytest.raises(ValueError) as err:
+            simulate_quantum_jump(gen, np.array([1.0, 0.0]), 1.0, seed=1)
+        resid = float(re.search(r"residual (\S+)", str(err.value)).group(1))
+        assert 1e-10 < resid < 1e-6
+        assert "exceeds 1e-10" in str(err.value)
+
     def test_rejects_bad_state_vectors(self, ref_params):
         gen = reduced_generator(ref_params, 8)
         with pytest.raises(ValueError, match="nonzero"):
@@ -677,6 +702,24 @@ class TestQuantumJump:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 simulate_quantum_jump(gen, psi0, bad, seed=1)
+
+
+@pytest.mark.parametrize("run", json.loads(GOLDEN_QJ.read_text()),
+                         ids=lambda run: run["name"])
+def test_golden_quantum_jump(run):
+    # A single-support chain (closed-form crossings), a superposition (root
+    # solves on a diagonal drift) and a bipartite chain (general drift).
+    # Times are compared to 1e-9, not bit for bit: the crossing arithmetic
+    # goes through numpy loops whose rounding follows the CPU's SIMD target.
+    build = {"reduced": reduced_generator, "bipartite": bipartite_generator}
+    gen = build[run["generator"]](make_ref(**run["config"]), *run["dims"])
+    traj = simulate_quantum_jump(
+        gen, np.array(run["psi0"], dtype=complex), run["t_final"], run["seed"]
+    )
+    assert traj.channels.tolist() == run["channels"]
+    assert traj.new_ns.tolist() == run["new_ns"]
+    assert traj.null_jumps == run["null_jumps"]
+    assert traj.times.tolist() == pytest.approx(run["times"], rel=1e-9)
 
 
 class TestExports:

@@ -33,7 +33,14 @@ from .rates import (
     measurement_rate,
     rate_table,
 )
-from .system import CONFIG_KEYS, REQUIRED_KEYS, params_from_mapping, read_config
+from .system import (
+    ANGULAR_RATES,
+    CONFIG_KEYS,
+    REQUIRED_KEYS,
+    SystemParams,
+    params_from_mapping,
+    read_config,
+)
 from .trajectories import ensemble, write_events_csv, write_staircase_csv
 from .twomode import (
     TwoModeParams,
@@ -84,9 +91,11 @@ def _load_params(path: str):
 
 def _meta(command: str, params=None, **extra) -> dict:
     meta = {"tool": "qndsim", "version": __version__, "command": command}
-    if params is not None and params._hz:
-        for key, value in params._hz.items():
-            meta["cfg_" + key] = value
+    if params is not None:
+        for name in ANGULAR_RATES:
+            meta["cfg_" + name] = getattr(params, name + "_hz")
+        meta["cfg_nbar_th"] = params.nbar_th
+        meta["cfg_nbar_photon"] = params.nbar_photon
     for key, value in extra.items():
         if value is not None:
             meta[key] = value
@@ -137,8 +146,8 @@ def cmd_feasibility(args) -> int:
         "n_max_floor": report.n_max_floor,
         "ratios": dict(report.ratios),
         "checks": dict(report.checks),
-        "linear_limit_margin": report.linear_limit_margin,
-        "sideband_margin": report.sideband_margin,
+        "linear_limit_margin": report.ratios["linear_limit"],
+        "sideband_margin": report.ratios["sideband_resolution"],
         "ok": report.ok,
         "gamma_th0_hz": gs.gamma_th0 / TWO_PI,
         "gamma_1_hz": gs.gamma_1 / TWO_PI,
@@ -308,8 +317,11 @@ def cmd_sweep(args) -> int:
             "unknown sweep axis '%s' (valid keys: %s)"
             % (args.axis, ", ".join(CONFIG_KEYS))
         )
-    # checked even when the grid is empty; the manifest keeps the raw values
-    read_config(base, CONFIG_KEYS, [k for k in REQUIRED_KEYS if k != args.axis])
+    # checked once, even when the grid is empty; the manifest keeps the raw
+    # values
+    checked = read_config(
+        base, CONFIG_KEYS, [k for k in REQUIRED_KEYS if k != args.axis]
+    )
     grid = _parse_grid(args.grid)
     header = (
         [args.axis]
@@ -319,9 +331,7 @@ def cmd_sweep(args) -> int:
     )
     rows = []
     for value in grid:
-        cfg = dict(base)
-        cfg[args.axis] = value
-        params = params_from_mapping(cfg)
+        params = SystemParams.from_frequencies(**{**checked, args.axis: value})
         gs = ground_state_rates(params)
         report = feasibility(params, args.n, dominance=args.dominance)
         gamma_meas = measurement_rate(params)
@@ -336,8 +346,8 @@ def cmd_sweep(args) -> int:
             report.ratios["meas_over_thermal"],
             report.n_max,
             -1 if report.n_max_floor is None else report.n_max_floor,
-            report.linear_limit_margin,
-            report.sideband_margin,
+            report.ratios["linear_limit"],
+            report.ratios["sideband_resolution"],
         ]
         row += [report.checks[name] for name in CHECK_NAMES]
         row.append(report.ok)

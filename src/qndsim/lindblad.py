@@ -49,7 +49,8 @@ class LindbladGenerator:
     (operator, weight) pairs with weights in rad/s entering as (w/2) D[o].
     ``time_scale`` (rad/s) defines the dimensionless time unit used by
     :func:`evolve`. For bipartite generators ``subsystem_dims`` holds
-    (dim_cavity, dim_mech) with the cavity factor first.
+    (dim_cavity, dim_mech) with the cavity factor first. ``labels`` is
+    empty (unlabelled) or names each channel, one string per channel.
     """
 
     hamiltonian: np.ndarray
@@ -74,6 +75,11 @@ class LindbladGenerator:
                 raise ValueError("channel operator must be finite, of H's shape")
             ops.append((m, float(w)))
         self.channels = ops
+        if self.labels and (
+            len(self.labels) != len(ops)
+            or not all(isinstance(lbl, str) for lbl in self.labels)
+        ):
+            raise ValueError("labels must be empty or one string per channel")
         if not (self.time_scale > 0 and math.isfinite(self.time_scale)):
             raise ValueError("time_scale must be positive and finite")
         if self.subsystem_dims is not None:

@@ -95,8 +95,6 @@ class FeasibilityReport:
     n_max_floor: int | None
     ratios: dict
     checks: dict
-    linear_limit_margin: float
-    sideband_margin: float
     ok: bool
 
 
@@ -128,10 +126,11 @@ def channel_coefficients(params: SystemParams) -> np.ndarray:
 
 def _exact_coefficients(params: SystemParams) -> list:
     """:func:`channel_coefficients` as exact Fractions, in Hz."""
+    p = params
     nth, gm, kap, dlt, wm, g1, g2, nph = map(
-        params.hz_fraction,
-        ("nbar_th", "gamma_m", "kappa", "delta", "omega_m", "g1", "g2",
-         "nbar_photon"),
+        Fraction,
+        (p.nbar_th, p.gamma_m_hz, p.kappa_hz, p.delta_hz, p.omega_m_hz,
+         p.g1_hz, p.g2_hz, p.nbar_photon),
     )
 
     def s_nn(omega):
@@ -259,7 +258,7 @@ def max_monitorable_state(params: SystemParams) -> tuple[float, int | None]:
     round-off at integer boundaries.
     """
     c2 = _exact_cooperativities(params)[1]
-    return _monitorable(c2, params.hz_fraction("nbar_th"))
+    return _monitorable(c2, Fraction(params.nbar_th))
 
 
 def feasibility(
@@ -283,7 +282,8 @@ def feasibility(
         raise ValueError("Fock index must be non-negative")
     p = params
     nth, gm, kap, wm, g1, g2 = map(
-        p.hz_fraction, ("nbar_th", "gamma_m", "kappa", "omega_m", "g1", "g2")
+        Fraction,
+        (p.nbar_th, p.gamma_m_hz, p.kappa_hz, p.omega_m_hz, p.g1_hz, p.g2_hz),
     )
     th_up, th_dn, up1, down1, up2, down2 = _multiplied(_exact_coefficients(p), n)
     th = th_up + th_dn
@@ -325,8 +325,6 @@ def feasibility(
         n_max_floor=n_floor,
         ratios=ratios,
         checks=checks,
-        linear_limit_margin=ratios["linear_limit"],
-        sideband_margin=ratios["sideband_resolution"],
         ok=all(checks.values()),
     )
 

@@ -1,12 +1,11 @@
 """System parameters and basic derived quantities.
 
-All frequency-like attributes of :class:`SystemParams` are angular rates in
-rad/s. Constructors that accept ordinary frequencies in Hz carry the ``_hz``
-suffix or take Hz-keyed mappings; they multiply by 2*pi on ingestion and are
-the only place that conversion happens. The raw Hz-level inputs are retained
-so that dimensionless ratios (cooperativities, rate ratios, feasibility
-margins) can be evaluated in exact rational arithmetic, free of 2*pi
-round-off.
+:class:`SystemParams` stores its frequency-like inputs as given: ordinary
+frequencies in Hz, in fields with the ``_hz`` suffix. The angular rates in
+rad/s that the dynamics use are read-only properties, 2*pi times the Hz
+field, and are the only place that conversion happens. Dimensionless
+ratios (cooperativities, rate ratios, feasibility margins) are evaluated in
+exact rational arithmetic on the Hz fields, free of 2*pi round-off.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import inspect
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -50,49 +49,62 @@ class Cooperativities(NamedTuple):
     q2: float  # quantum, c2 / nbar_th
 
 
+# The rad/s properties of SystemParams, each 2*pi times its "_hz" field.
+ANGULAR_RATES = ("omega_m", "gamma_m", "kappa", "kappa_e", "delta", "g1", "g2")
+
+
 @dataclass(frozen=True)
 class SystemParams:
-    """Optomechanical system parameters (angular rates, rad/s).
+    """Optomechanical system parameters (ordinary frequencies, Hz).
 
     Attributes
     ----------
-    omega_m, gamma_m : float
+    omega_m_hz, gamma_m_hz : float
         Mechanical frequency and energy decay rate.
-    kappa, kappa_e : float
+    kappa_hz, kappa_e_hz : float
         Total and external cavity decay rates, 0 < kappa_e <= kappa.
-    delta : float
+    delta_hz : float
         Detuning parameter entering the cavity susceptibility
         1/(i*(delta + omega) + kappa/2).
-    g1, g2 : float
+    g1_hz, g2_hz : float
         Single-photon linear and quadratic coupling rates (>= 0).
     nbar_th : float
         Mechanical bath occupancy (resolved at construction).
     nbar_photon : float
         Mean intracavity photon number (resolved at construction).
-    temperature, power, omega_d, mass : float or None
-        Originals when the bath/drive was specified indirectly; omega_d is
-        the drive frequency in rad/s, mass the motional mass in kg.
+    temperature, power, omega_d_hz, mass : float or None
+        Originals when the bath/drive was specified indirectly; omega_d_hz
+        is the drive frequency, mass the motional mass in kg.
+
+    ``omega_m``, ``gamma_m``, ``kappa``, ``kappa_e``, ``delta``, ``g1`` and
+    ``g2`` are the same rates in rad/s: 2*pi times the Hz field.
     """
 
-    omega_m: float
-    gamma_m: float
-    kappa: float
-    kappa_e: float
-    delta: float
-    g1: float
-    g2: float
+    omega_m_hz: float
+    gamma_m_hz: float
+    kappa_hz: float
+    kappa_e_hz: float
+    delta_hz: float
+    g1_hz: float
+    g2_hz: float
     nbar_th: float
     nbar_photon: float
     temperature: float | None = None
     power: float | None = None
-    omega_d: float | None = None
+    omega_d_hz: float | None = None
     mass: float | None = None
-    # Raw Hz-level inputs (plus unitless fields) for exact ratio arithmetic;
-    # set by from_frequencies only, so a dataclasses.replace copy drops them
-    _hz: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    omega_m = property(lambda self: TWO_PI * self.omega_m_hz)
+    gamma_m = property(lambda self: TWO_PI * self.gamma_m_hz)
+    kappa = property(lambda self: TWO_PI * self.kappa_hz)
+    kappa_e = property(lambda self: TWO_PI * self.kappa_e_hz)
+    delta = property(lambda self: TWO_PI * self.delta_hz)
+    g1 = property(lambda self: TWO_PI * self.g1_hz)
+    g2 = property(lambda self: TWO_PI * self.g2_hz)
 
     def __post_init__(self):
-        _require_finite(self)
+        # a finite Hz value can still overflow once multiplied by 2*pi
+        _require_finite(self, ANGULAR_RATES)
         if self.omega_m <= 0 or self.gamma_m <= 0 or self.kappa <= 0:
             raise ValueError("omega_m, gamma_m and kappa must be positive")
         if not (0.0 < self.kappa_e <= self.kappa):
@@ -126,7 +138,7 @@ class SystemParams:
         omega_d_hz: float | None = None,
         mass_kg: float | None = None,
     ) -> "SystemParams":
-        """Build from ordinary frequencies in Hz.
+        """Build from ordinary frequencies in Hz, resolving bath and drive.
 
         Exactly one of ``temperature_k``/``nbar_th`` must be given, and
         exactly one drive specification: ``nbar_photon`` or
@@ -142,66 +154,33 @@ class SystemParams:
 
         if kappa_e_hz is None:
             kappa_e_hz = kappa_hz / 2.0
-
-        omega_m = TWO_PI * omega_m_hz
-        kappa = TWO_PI * kappa_hz
-        kappa_e = TWO_PI * kappa_e_hz
-        delta = TWO_PI * delta_hz
-        omega_d = TWO_PI * omega_d_hz if omega_d_hz is not None else None
-
         if nbar_th is None:
-            nbar_th = thermal_occupancy(omega_m, temperature_k)
+            nbar_th = thermal_occupancy(TWO_PI * omega_m_hz, temperature_k)
         if nbar_photon is None:
             if power_w < 0:
                 raise ValueError("power_w must be non-negative")
+            kappa, kappa_e, delta, omega_d = (
+                TWO_PI * f for f in (kappa_hz, kappa_e_hz, delta_hz, omega_d_hz)
+            )
             nbar_photon = (
                 kappa_e / (delta**2 + (kappa / 2.0) ** 2) * power_w / (HBAR * omega_d)
             )
 
-        hz = {
-            "omega_m": float(omega_m_hz),
-            "gamma_m": float(gamma_m_hz),
-            "kappa": float(kappa_hz),
-            "kappa_e": float(kappa_e_hz),
-            "delta": float(delta_hz),
-            "g1": float(g1_hz),
-            "g2": float(g2_hz),
-            "nbar_th": float(nbar_th),
-            "nbar_photon": float(nbar_photon),
-        }
-        params = cls(
-            omega_m=omega_m,
-            gamma_m=TWO_PI * gamma_m_hz,
-            kappa=kappa,
-            kappa_e=kappa_e,
-            delta=delta,
-            g1=TWO_PI * g1_hz,
-            g2=TWO_PI * g2_hz,
+        return cls(
+            omega_m_hz=omega_m_hz,
+            gamma_m_hz=gamma_m_hz,
+            kappa_hz=kappa_hz,
+            kappa_e_hz=kappa_e_hz,
+            delta_hz=delta_hz,
+            g1_hz=g1_hz,
+            g2_hz=g2_hz,
             nbar_th=nbar_th,
             nbar_photon=nbar_photon,
             temperature=temperature_k,
             power=power_w,
-            omega_d=omega_d,
+            omega_d_hz=omega_d_hz,
             mass=mass_kg,
         )
-        object.__setattr__(params, "_hz", hz)
-        return params
-
-    # -- exact-ratio support ----------------------------------------------
-
-    def hz_fraction(self, name: str) -> Fraction:
-        """Hz-level value of ``name`` as an exact Fraction.
-
-        Falls back to the stored angular value divided by 2*pi when the
-        parameter set was not built from Hz inputs; ratios of such values
-        are then exact in the stored doubles rather than in the inputs.
-        """
-        if self._hz is not None and name in self._hz:
-            return Fraction(self._hz[name])
-        value = getattr(self, name)
-        if name in ("nbar_th", "nbar_photon"):
-            return Fraction(value)
-        return Fraction(value) / Fraction(TWO_PI)
 
 
 def zero_point_amplitude(p: SystemParams) -> float:
@@ -218,7 +197,8 @@ def _exact_cooperativities(p: SystemParams) -> tuple:
     bath occupancy Q is the float inf when C > 0 and stays 0 when C = 0.
     """
     kap, gm, nph, nth, g1, g2 = map(
-        p.hz_fraction, ("kappa", "gamma_m", "nbar_photon", "nbar_th", "g1", "g2")
+        Fraction,
+        (p.kappa_hz, p.gamma_m_hz, p.nbar_photon, p.nbar_th, p.g1_hz, p.g2_hz),
     )
     c1, c2 = (4 * nph * g * g / (kap * gm) for g in (g1, g2))
     if nth == 0:
@@ -237,12 +217,14 @@ def cooperativities(p: SystemParams) -> Cooperativities:
     return Cooperativities(*map(float, _exact_cooperativities(p)))
 
 
-def _require_finite(obj) -> None:
-    """Reject a NaN or infinite float field of a parameter dataclass."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+def _require_finite(obj, derived=()) -> None:
+    """Reject a NaN or infinite float field of a parameter dataclass, or
+    of its ``derived`` attributes.
+    """
+    for name in [f.name for f in fields(obj)] + list(derived):
+        value = getattr(obj, name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError("%s must be finite (got %r)" % (f.name, value))
+            raise ValueError("%s must be finite (got %r)" % (name, value))
 
 
 def read_config(data, keys, required=()) -> dict:

@@ -272,9 +272,7 @@ def simulate_quantum_jump(
 
     # what each channel records: a CHANNELS index, -1 for a null jump, or
     # None to infer the channel from the change in rounded mean n
-    labels = gen.labels
-    if len(labels) != len(gen.channels):
-        labels = (None,) * len(gen.channels)
+    labels = gen.labels or (None,) * len(gen.channels)
     ops = []
     records = []
     for (op, w), label in zip(gen.channels, labels):
@@ -568,7 +566,8 @@ def ensemble(
     in trajectory-index order regardless of worker scheduling, so results
     are independent of the thread count. A member that reaches ``n_cap``
     (for the unraveling, by default the phonon levels) raises
-    TruncationError. With ``return_trajectories`` the result is
+    TruncationError; ``n0`` at or above ``n_cap`` is refused with
+    ValueError before any chain runs. With ``return_trajectories`` the result is
     (stats, list_of_trajectories).
     """
     if count < 1:
@@ -601,6 +600,8 @@ def ensemble(
         meta = {"sampler": "quantum_jump"}
     else:
         raise TypeError("source must be SystemParams or LindbladGenerator")
+    if n0 >= cap:
+        raise ValueError("initial state is at or above the truncation cap")
 
     workers = resolve_threads(threads)
     if workers > 1 and count > 1:

@@ -235,6 +235,20 @@ class TestGeneratorInvariants:
                 hamiltonian=n_op, channels=[(o, 1.0)], time_scale=1.0
             )
 
+    @pytest.mark.parametrize("labels", [("thermal_down",), ("dephasing", 3)])
+    def test_labels_name_every_channel_or_none(self, labels):
+        b, bdag, n_op = ladder(4)
+        channels = [(b, 1.0), (bdag, 0.5)]
+        with pytest.raises(ValueError, match="one string per channel"):
+            LindbladGenerator(
+                hamiltonian=n_op, channels=channels, time_scale=1.0, labels=labels
+            )
+        for ok in ((), ("thermal_down", "thermal_up")):
+            gen = LindbladGenerator(
+                hamiltonian=n_op, channels=channels, time_scale=1.0, labels=ok
+            )
+            assert gen.labels == ok
+
 
 class TestSuperoperator:
     @pytest.mark.parametrize(

@@ -260,8 +260,6 @@ class TestFeasibility:
         assert rep.ratios["ground_quadratic"] == 16.0
         assert rep.ratios["linear_limit"] == 16.0
         assert rep.ratios["sideband_resolution"] == 512.0
-        assert rep.linear_limit_margin == 16.0
-        assert rep.sideband_margin == 512.0
         assert rep.n_max_floor == 5
         assert rep.ok
 

@@ -3,13 +3,15 @@
 import dataclasses
 import inspect
 import math
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndsim.constants import HBAR, K_B, TWO_PI
-from qndsim.rates import feasibility, measurement_rate
+from qndsim.rates import feasibility, max_monitorable_state
 from qndsim.system import (
+    ANGULAR_RATES,
     CONFIG_KEYS,
     REQUIRED_KEYS,
     SystemParams,
@@ -158,23 +160,46 @@ class TestDerivedScalars:
         with pytest.raises(ValueError, match="mass"):
             zero_point_amplitude(ref_params)
 
-    def test_hz_fraction_is_exact(self, ref_params):
-        assert ref_params.hz_fraction("omega_m") == Fraction(2000000000)
-        assert ref_params.hz_fraction("nbar_th") == Fraction(1, 4)
-        with pytest.raises(AttributeError):
-            ref_params.hz_fraction("not_a_key")
-
-    def test_replaced_copy_drops_the_hz_inputs(self, ref_params):
-        # the Hz inputs describe the constructor's arguments, not a copy
-        # with a changed field, which falls back to its angular values
-        q = dataclasses.replace(ref_params, g2=2.0 * ref_params.g2)
-        assert q.hz_fraction("g2") == Fraction(q.g2) / Fraction(TWO_PI)
-        assert cooperativities(q).c2 == pytest.approx(32.0, rel=1e-12)
+    def test_replaced_copy_keeps_exact_ratios(self, ref_params):
+        # a copy with a changed Hz field is the parameter set built with it
+        q = dataclasses.replace(ref_params, g2_hz=2.0 * ref_params.g2_hz)
+        built = make_ref(g2_hz=2e5)
+        assert q == built and hash(q) == hash(built)
+        assert q.g2 == TWO_PI * 2e5
+        c = cooperativities(q)
+        assert (c.c1, c.c2, c.q2) == (2.0, 32.0, 128.0)
         # at n = 0 the thermal rate is Gamma_th0 = gamma_m * nbar_th
-        ratio = feasibility(q, 0).ratios["meas_over_thermal"]
-        expect = measurement_rate(q) / (q.gamma_m * q.nbar_th)
-        assert expect == pytest.approx(128.0, rel=1e-12)
-        assert ratio == pytest.approx(expect, rel=1e-12)
+        assert feasibility(q, 0).ratios["meas_over_thermal"] == 128.0
+        assert feasibility(q, 3).ratios["quantum_coop2"] == 128.0
+
+
+# Axes with no derived default: changing one in a copy changes nothing
+# else. kappa_hz qualifies once kappa_e_hz is given, here at the bottom of
+# the drawn range so that every drawn kappa stays above it.
+COPY_AXES = (
+    "g1_hz", "g2_hz", "gamma_m_hz", "omega_m_hz", "delta_hz",
+    "nbar_th", "nbar_photon", "kappa_hz",
+)
+
+
+@given(
+    axis=st.sampled_from(COPY_AXES),
+    value=st.floats(min_value=1e-3, max_value=1e12),
+    n=st.integers(0, 20),
+)
+@settings(max_examples=150, deadline=None)
+def test_equal_parameters_give_equal_verdicts(axis, value, n):
+    base = make_ref(kappa_e_hz=1e-3)
+    copy = dataclasses.replace(base, **{axis: value})
+    built = make_ref(kappa_e_hz=1e-3, **{axis: value})
+    assert copy == built
+
+    def verdicts(p):
+        return repr((
+            feasibility(p, n).ratios, cooperativities(p), max_monitorable_state(p)
+        ))
+
+    assert verdicts(copy) == verdicts(built)
 
 
 class TestMappingLoader:
@@ -244,6 +269,12 @@ class TestFiniteInputs:
         assert REQUIRED_KEYS == (
             "omega_m_hz", "gamma_m_hz", "kappa_hz", "delta_hz", "g1_hz", "g2_hz"
         )
+
+    @pytest.mark.parametrize("name", ANGULAR_RATES)
+    def test_angular_rate_must_be_finite(self, name):
+        # finite in Hz, infinite once multiplied by 2*pi
+        with pytest.raises(ValueError, match="^%s must be finite" % name):
+            make_ref(**{name + "_hz": 1e308})
 
     def test_fields_must_be_finite(self, ref_params):
         with pytest.raises(ValueError, match="nbar_th must be finite"):

@@ -268,6 +268,17 @@ class TestStayReduction:
         assert max(int(t.new_ns.max()) for t in trajs if t.n_events) >= 3
         self.assert_matches_walk(stats, trajs)
 
+    def test_quantum_jump_ensemble_refuses_a_start_at_the_cap(self, monkeypatch):
+        # refused before any chain runs, as the jump chain refuses it
+        gen = reduced_generator(make_ref(), 10)
+
+        def sample(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(trajectories, "simulate_quantum_jump", sample)
+        with pytest.raises(ValueError, match="at or above the truncation cap"):
+            ensemble(gen, 5, 1e-4, 2, seed_base=1, n_cap=3)
+
     def test_float_typed_empty_record(self, ref_params, monkeypatch):
         # a hand-built record: float event arrays, no events, open stay only
         record = Trajectory(

@@ -2,9 +2,10 @@
 
 Submodules:
 
-- ``system``: parameter container, unit conversions, cooperativities
+- ``system``: parameter container, unit conversions, config parsing
 - ``cavity``: cavity susceptibility and photon-number spectral density
-- ``rates``: phonon transition rates, measurement rate, feasibility checks
+- ``rates``: every rate formula, cooperativities, feasibility checks; the
+  only exact (Fraction) arithmetic
 - ``fock``: truncated Fock-space operators and density matrices
 - ``lindblad``: master-equation generators, propagation, steady states
 - ``trajectories``: stochastic jump-chain and quantum-jump unravelings

@@ -1,9 +1,10 @@
 """Cavity response functions: susceptibility and photon-number spectrum.
 
-Both functions work in the frame rotating at the drive, take angular rates
-in rad/s, and broadcast over numpy arrays. Internally frequencies are
-scaled by the linewidth kappa, which keeps the Lorentzian denominators
-well conditioned for GHz-scale arguments.
+Both functions work in the frame rotating at the drive and take angular
+rates in rad/s. Internally frequencies are scaled by the linewidth kappa,
+which keeps the Lorentzian denominators well conditioned for GHz-scale
+arguments. :func:`photon_number_spectrum` is plain arithmetic with integer
+constants, so it evaluates floats, numpy arrays and exact Fractions alike.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ def photon_number_spectrum(omega, delta: float, kappa: float, nbar_photon: float
 
     S_NN(omega) = nbar * kappa / ((omega - delta)^2 + (kappa/2)^2), a
     Lorentzian of full width kappa centred at the detuning, with peak value
-    4*nbar/kappa and total weight nbar (integral over omega/2pi).
+    4*nbar/kappa and total weight nbar (integral over omega/2pi). Floats
+    give a float, arrays an array and Fractions an exact Fraction; a list
+    is not converted, so pass an array.
     """
-    v = (np.asarray(omega) - delta) / kappa
-    s = (nbar_photon / kappa) / (v * v + 0.25)
-    if np.isscalar(omega):
-        return float(s)
-    return s
+    v = (omega - delta) / kappa
+    return 4 * nbar_photon / kappa / (4 * v * v + 1)

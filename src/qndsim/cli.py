@@ -28,6 +28,7 @@ from .fock import diagonal_state, fock_state, suggest_dim, thermal_state
 from .lindblad import evolve, reduced_generator
 from .rates import (
     CHECK_NAMES,
+    channel_coefficients,
     feasibility,
     ground_state_rates,
     measurement_rate,
@@ -226,7 +227,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_traject(args) -> int:
     params = _load_params(args.config)
-    th0 = params.nbar_th * params.gamma_m
+    th0 = float(channel_coefficients(params)[0])
     t_final = args.t_final
     if t_final is None:
         if th0 <= 0:

@@ -271,6 +271,7 @@ def bipartite_generator(
     d_op, ddag, n_d = ladder(dim_c)
     b, bdag, n_b = ladder(dim_m)
     eye_c, eye_m = np.eye(dim_c, dtype=complex), np.eye(dim_m, dtype=complex)
+    th_up, th_dn = channel_coefficients(p).tolist()[:2]
     abar = math.sqrt(p.nbar_photon)
     mech = p.g1 * (b + bdag) + (p.g2 / 2.0) * (2.0 * n_b + b @ b + bdag @ bdag)
     h = (
@@ -280,8 +281,8 @@ def bipartite_generator(
     )
     channels = [
         (np.kron(d_op, eye_m), p.kappa),
-        (np.kron(eye_c, b), p.gamma_m * (p.nbar_th + 1.0)),
-        (np.kron(eye_c, bdag), p.gamma_m * p.nbar_th),
+        (np.kron(eye_c, b), th_dn),
+        (np.kron(eye_c, bdag), th_up),
     ]
     return LindbladGenerator(
         hamiltonian=h,

@@ -1,26 +1,27 @@
-"""Per-Fock-state transition rates, measurement rate, and feasibility checks.
+"""Per-Fock-state transition rates, cooperativities and feasibility checks.
 
-Rates are always evaluated from the exact Lorentzian photon-number spectrum;
-the sideband-resolved closed forms for the ground state are exposed
-separately as labeled approximations. Every rate is stated once in floats
-(:func:`channel_coefficients`, rad/s) and once in exact Fractions of the
-Hz-level inputs (:func:`_exact_coefficients`), both multiplied out by
-:func:`_multiplied`. A rate in Hz is its rad/s value over 2*pi, so ratios of
-the exact rates are the rad/s ratios; the verdict quantities (hierarchy
-ratios, margins, monitorable-state bound) are formed from them so decimal
-parameter sets give bit-exact reference values.
+Each rate formula is written once, as a private function of plain numbers
+(:func:`_weights`, :func:`_measurement`, :func:`_closed_forms`). The float
+rates pass the rad/s properties; the verdicts (cooperativities, hierarchy
+ratios, monitorable-state bound) pass exact Fractions of the Hz fields
+(:func:`_exact`) and round once, so decimal parameter sets give bit-exact
+reference values. Ratios of Hz rates are the rad/s ratios. This is the only
+module with exact arithmetic. Rates use the exact Lorentzian spectrum; the
+sideband-resolved closed forms are labeled approximations.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .cavity import photon_number_spectrum
-from .system import SystemParams, _exact_cooperativities, cooperativities
+from .system import SystemParams
 
 # Event channels in the frozen order of channel_coefficients.
 CHANNELS = (
@@ -45,6 +46,13 @@ CHECK_NAMES = (
     "linear_limit",
     "sideband_resolution",
 )
+
+
+class Cooperativities(NamedTuple):
+    c1: float  # classical, linear coupling
+    c2: float  # classical, quadratic coupling
+    q1: float  # quantum, c1 / nbar_th (inf when the bath occupancy is zero)
+    q2: float  # quantum, c2 / nbar_th
 
 
 @dataclass(frozen=True)
@@ -98,53 +106,58 @@ class FeasibilityReport:
     ok: bool
 
 
-def channel_coefficients(params: SystemParams) -> np.ndarray:
-    """Six per-state rate coefficients (rad/s) in :data:`CHANNELS` order.
+def _weights(nth, gm, kap, dlt, wm, g1, g2, nph) -> list:
+    """The six channel weights in :data:`CHANNELS` order.
 
-    Rates at state n are coeff * (n+1), *n, *(n+1), *n, *(n+1)(n+2),
-    *n(n-1) respectively (:func:`_multiplied`). This is the one float
-    statement of the channel weights; the samplers, the reduced generator
-    and :func:`transition_rates` all take them from here.
+    Plain arithmetic with integer constants, so floats give floats and
+    Fractions give Fractions.
     """
-    p = params
 
     def s_nn(omega):
-        return photon_number_spectrum(omega, p.delta, p.kappa, p.nbar_photon)
-
-    g1sq, g2sq = p.g1 * p.g1, p.g2 * p.g2
-    return np.array(
-        [
-            p.gamma_m * p.nbar_th,
-            p.gamma_m * (p.nbar_th + 1.0),
-            g1sq * s_nn(-p.omega_m),
-            g1sq * s_nn(p.omega_m),
-            (g2sq / 4.0) * s_nn(-2.0 * p.omega_m),
-            (g2sq / 4.0) * s_nn(2.0 * p.omega_m),
-        ]
-    )
-
-
-def _exact_coefficients(params: SystemParams) -> list:
-    """:func:`channel_coefficients` as exact Fractions, in Hz."""
-    p = params
-    nth, gm, kap, dlt, wm, g1, g2, nph = map(
-        Fraction,
-        (p.nbar_th, p.gamma_m_hz, p.kappa_hz, p.delta_hz, p.omega_m_hz,
-         p.g1_hz, p.g2_hz, p.nbar_photon),
-    )
-
-    def s_nn(omega):
-        return nph * kap / ((omega - dlt) ** 2 + (kap / 2) ** 2)
+        return photon_number_spectrum(omega, dlt, kap, nph)
 
     g1sq, g2sq = g1 * g1, g2 * g2
     return [
-        gm * nth,
+        gm * nth,  # Gamma_th0
         gm * (nth + 1),
         g1sq * s_nn(-wm),
         g1sq * s_nn(wm),
         g2sq / 4 * s_nn(-2 * wm),
         g2sq / 4 * s_nn(2 * wm),
     ]
+
+
+def _measurement(nph, g, kap):
+    """Number-state collapse rate 4*N*g^2/kappa of a coupling g."""
+    return 4 * nph * g * g / kap
+
+
+def _closed_forms(nph, kap, wm, g1, g2) -> tuple:
+    """Closed forms N*g1^2*kappa/omega_m^2 and N*g2^2*kappa/(8*omega_m^2)."""
+    wm2 = wm * wm
+    return nph * g1 * g1 * kap / wm2, nph * g2 * g2 * kap / (8 * wm2)
+
+
+def _exact(p: SystemParams) -> tuple:
+    """The arguments of :func:`_weights` as exact Fractions, in Hz."""
+    hz = (p.nbar_th, p.gamma_m_hz, p.kappa_hz, p.delta_hz, p.omega_m_hz,
+          p.g1_hz, p.g2_hz, p.nbar_photon)
+    return tuple(map(Fraction, hz))
+
+
+def channel_coefficients(params: SystemParams) -> np.ndarray:
+    """Six per-state rate coefficients (rad/s) in :data:`CHANNELS` order.
+
+    Rates at state n are coeff * (n+1), *n, *(n+1), *n, *(n+1)(n+2),
+    *n(n-1) respectively (:func:`_multiplied`); coefficient 0 is the
+    ground-state thermal rate Gamma_th0. The samplers, the generators and
+    :func:`transition_rates` all take the weights from here.
+    """
+    p = params
+    return np.array(
+        _weights(p.nbar_th, p.gamma_m, p.kappa, p.delta, p.omega_m, p.g1, p.g2,
+                 p.nbar_photon)
+    )
 
 
 def _multiplied(coeffs, fn):
@@ -176,14 +189,24 @@ def channel_rates(params: SystemParams, n_cap: int) -> np.ndarray:
     return np.column_stack(_multiplied(coeffs, fn))
 
 
+def _fock_index(n) -> int:
+    """``n`` as an int; numpy integers pass, a float or a negative raises."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError("Fock index must be an integer (got %r)" % (n,)) from None
+    if n < 0:
+        raise ValueError("Fock index must be non-negative")
+    return n
+
+
 def transition_rates(params: SystemParams, n: int) -> RateSet:
     """Jump rates out of Fock state n (exact Lorentzian forms).
 
     Row n of :func:`channel_rates`, summed as the jump-chain kernels sum it,
     so these are exactly the rates the sampler draws from.
     """
-    if n < 0:
-        raise ValueError("Fock index must be non-negative")
+    n = _fock_index(n)
     r0, r1, up1, down1, up2, down2 = _multiplied(
         channel_coefficients(params).tolist(), float(n)
     )
@@ -204,11 +227,9 @@ def ground_state_rates(params: SystemParams) -> GroundStateRates:
     """Thermal, 0->1 and 0->2 rates from the ground state."""
     p = params
     r0 = transition_rates(p, 0)
-    wm2 = p.omega_m * p.omega_m
-    closed_1 = p.nbar_photon * p.g1 * p.g1 * p.kappa / wm2
-    closed_2 = p.nbar_photon * p.g2 * p.g2 * p.kappa / (8.0 * wm2)
+    closed_1, closed_2 = _closed_forms(p.nbar_photon, p.kappa, p.omega_m, p.g1, p.g2)
     return GroundStateRates(
-        gamma_th0=p.nbar_th * p.gamma_m,
+        gamma_th0=float(channel_coefficients(p)[0]),
         gamma_1=r0.gamma_up1,
         gamma_2=r0.gamma_up2,
         gamma_1_closed=closed_1,
@@ -220,7 +241,7 @@ def ground_state_rates(params: SystemParams) -> GroundStateRates:
 def measurement_rate(params: SystemParams) -> float:
     """Number-state collapse rate 4*N*g2^2/kappa (rad/s)."""
     p = params
-    return 4.0 * p.nbar_photon * p.g2 * p.g2 / p.kappa
+    return _measurement(p.nbar_photon, p.g2, p.kappa)
 
 
 def number_dephasing_weight(params: SystemParams) -> float:
@@ -235,13 +256,24 @@ def number_dephasing_weight(params: SystemParams) -> float:
     return 2.0 * p.nbar_photon * p.g2 * p.g2 * re_chi0
 
 
-def measurement_to_thermal_ratio(params: SystemParams) -> float:
-    """Gamma_meas / Gamma_th0, evaluated in exact rational arithmetic.
+def _exact_cooperativities(p: SystemParams) -> tuple:
+    """(C1, C2, Q1, Q2) as exact Fractions of the Hz-level inputs.
 
-    Equals the quadratic quantum cooperativity; infinite when the bath
-    occupancy is exactly zero and the quadratic coupling is not.
+    C = (4*N*g^2/kappa) / Gamma_m for g = g1, g2 and Q = C/nbar_th. At zero
+    bath occupancy Q is the float inf when C > 0 and stays 0 when C = 0.
     """
-    return cooperativities(params).q2
+    nth, gm, kap, _, _, g1, g2, nph = _exact(p)
+    c1, c2 = (_measurement(nph, g, kap) / gm for g in (g1, g2))
+    if nth == 0:
+        return c1, c2, *(math.inf if c else c for c in (c1, c2))
+    return c1, c2, c1 / nth, c2 / nth
+
+
+def cooperativities(p: SystemParams) -> Cooperativities:
+    """Classical and quantum cooperativities of both couplings: the exact
+    values of :func:`_exact_cooperativities`, each rounded once.
+    """
+    return Cooperativities(*map(float, _exact_cooperativities(p)))
 
 
 def _monitorable(c2: Fraction, nth: Fraction) -> tuple[float, int | None]:
@@ -269,38 +301,28 @@ def feasibility(
     Each ">>" in the hierarchy is judged as ratio >= dominance. The
     report stores, in fixed order: the measurement-over-thermal ratio and
     the four thermal-over-optical ratios at state n; the three
-    ground-state conditions (quadratic quantum cooperativity, inverse
-    linear-contamination ratio 4*omega_m^2/(Q1*kappa^2), inverse
-    quadratic-backaction ratio 32*omega_m^2/(Q2*kappa^2)); the
+    ground-state conditions (quadratic quantum cooperativity, Gamma_th0
+    over each closed form of :func:`ground_state_rates`, i.e.
+    4*omega_m^2/(Q1*kappa^2) and 32*omega_m^2/(Q2*kappa^2)); the
     linear-limit margin 2*g2*omega_m/(g1*kappa); and the sideband margin
     32*omega_m^2/kappa^2. Each ratio is formed exactly from the Hz-level
     inputs and rounded once.
     """
     if not dominance > 1.0:
         raise ValueError("dominance factor must exceed 1")
-    if n < 0:
-        raise ValueError("Fock index must be non-negative")
-    p = params
-    nth, gm, kap, wm, g1, g2 = map(
-        Fraction,
-        (p.nbar_th, p.gamma_m_hz, p.kappa_hz, p.omega_m_hz, p.g1_hz, p.g2_hz),
-    )
-    th_up, th_dn, up1, down1, up2, down2 = _multiplied(_exact_coefficients(p), n)
+    n = _fock_index(n)
+    args = _exact(params)
+    nth, gm, kap, _, wm, g1, g2, nph = args
+    weights = _weights(*args)
+    th_up, th_dn, up1, down1, up2, down2 = _multiplied(weights, n)
     th = th_up + th_dn
-    _, c2, q1, q2 = _exact_cooperativities(p)
+    closed_1, closed_2 = _closed_forms(nph, kap, wm, g1, g2)
+    _, c2, _, q2 = _exact_cooperativities(params)
 
     def ratio(num, den) -> float:
         if den == 0:
             return math.inf  # vacuous check, passes
         return float(num / den)
-
-    def inv_ratio(coeff, q) -> float:
-        # pass-ratio for a "q * kappa^2 / (coeff * omega_m^2) << 1" condition
-        if q == 0:
-            return math.inf
-        if q is math.inf:
-            return 0.0
-        return float(coeff * wm * wm / (q * kap * kap))
 
     ratios = {
         "meas_over_thermal": ratio(c2 * gm, th),  # Gamma_meas = C2 * Gamma_m
@@ -309,11 +331,9 @@ def feasibility(
         "thermal_over_up2": ratio(th, up2),
         "thermal_over_down2": ratio(th, down2),
         "quantum_coop2": float(q2),
-        "ground_linear": inv_ratio(4, q1),
-        "ground_quadratic": inv_ratio(32, q2),
-        "linear_limit": (
-            math.inf if g1 == 0 else float(2 * g2 * wm / (g1 * kap))
-        ),
+        "ground_linear": ratio(weights[0], closed_1),  # Gamma_th0 / closed
+        "ground_quadratic": ratio(weights[0], closed_2),
+        "linear_limit": ratio(2 * g2 * wm, g1 * kap),
         "sideband_resolution": float(32 * wm * wm / (kap * kap)),
     }
     checks = {name: ratios[name] >= dominance for name in CHECK_NAMES}
@@ -339,7 +359,7 @@ def rate_table(params: SystemParams, n_top: int):
     if n_top < 0:
         raise ValueError("n_top must be non-negative (got %d)" % n_top)
     p = params
-    th0 = p.nbar_th * p.gamma_m
+    th0 = float(channel_coefficients(p)[0])
     if th0 <= 0.0:
         raise ValueError("normalization requires nbar_th > 0 and gamma_m > 0")
     header = [f.name for f in fields(RateSet)]

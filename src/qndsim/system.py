@@ -1,11 +1,10 @@
-"""System parameters and basic derived quantities.
+"""System parameters, units and config parsing.
 
 :class:`SystemParams` stores its frequency-like inputs as given: ordinary
 frequencies in Hz, in fields with the ``_hz`` suffix. The angular rates in
 rad/s that the dynamics use are read-only properties, 2*pi times the Hz
-field, and are the only place that conversion happens. Dimensionless
-ratios (cooperativities, rate ratios, feasibility margins) are evaluated in
-exact rational arithmetic on the Hz fields, free of 2*pi round-off.
+field, and are the only place that conversion happens. The rate formulas
+and the exact rational arithmetic on the Hz fields live in :mod:`.rates`.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ import inspect
 import math
 import sys
 from dataclasses import dataclass, fields
-from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .constants import HBAR, K_B, TWO_PI
 
@@ -40,13 +38,6 @@ def temperature_for_occupancy(omega_m: float, nbar_th: float) -> float:
     if nbar_th <= 0.0:
         raise ValueError("occupancy must be positive to define a temperature")
     return HBAR * omega_m / (K_B * math.log1p(1.0 / nbar_th))
-
-
-class Cooperativities(NamedTuple):
-    c1: float  # classical, linear coupling
-    c2: float  # classical, quadratic coupling
-    q1: float  # quantum, c1 / nbar_th (inf when the bath occupancy is zero)
-    q2: float  # quantum, c2 / nbar_th
 
 
 # The rad/s properties of SystemParams, each 2*pi times its "_hz" field.
@@ -188,33 +179,6 @@ def zero_point_amplitude(p: SystemParams) -> float:
     if p.mass is None:
         raise ValueError("zero-point amplitude requires the motional mass")
     return math.sqrt(HBAR / (2.0 * p.mass * p.omega_m))
-
-
-def _exact_cooperativities(p: SystemParams) -> tuple:
-    """(C1, C2, Q1, Q2) as exact Fractions of the Hz-level inputs.
-
-    C = 4*N*g^2/(kappa*Gamma_m) for g = g1, g2 and Q = C/nbar_th. At zero
-    bath occupancy Q is the float inf when C > 0 and stays 0 when C = 0.
-    """
-    kap, gm, nph, nth, g1, g2 = map(
-        Fraction,
-        (p.kappa_hz, p.gamma_m_hz, p.nbar_photon, p.nbar_th, p.g1_hz, p.g2_hz),
-    )
-    c1, c2 = (4 * nph * g * g / (kap * gm) for g in (g1, g2))
-    if nth == 0:
-        return c1, c2, *(math.inf if c else c for c in (c1, c2))
-    return c1, c2, c1 / nth, c2 / nth
-
-
-def cooperativities(p: SystemParams) -> Cooperativities:
-    """Classical and quantum cooperativities for both couplings.
-
-    Evaluated with rational arithmetic on the Hz-level inputs so that
-    decimal parameter sets give bit-exact reference values. The quantum
-    cooperativities carry an infinite sentinel when the bath occupancy
-    is exactly zero and the coupling is not.
-    """
-    return Cooperativities(*map(float, _exact_cooperativities(p)))
 
 
 def _require_finite(obj, derived=()) -> None:

@@ -32,12 +32,7 @@ from ._kernels import get_backend
 from ._kernels._gillespie_py import CHANNEL_DELTAS
 from .fock import suggest_dim
 from .lindblad import LindbladGenerator
-from .rates import (
-    CHANNELS,
-    channel_coefficients,
-    channel_rates,
-    measurement_to_thermal_ratio,
-)
+from .rates import CHANNELS, channel_coefficients, channel_rates, cooperativities
 from .system import SystemParams
 
 # CHANNEL_DELTAS gives the phonon-number change of each of CHANNELS.
@@ -582,7 +577,7 @@ def ensemble(
 
         meta = {
             "sampler": "gillespie",
-            "measurement_to_thermal": measurement_to_thermal_ratio(source),
+            "measurement_to_thermal": cooperativities(source).q2,
         }
     elif isinstance(source, LindbladGenerator):
         dims = source.subsystem_dims

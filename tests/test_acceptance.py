@@ -30,12 +30,11 @@ from qndsim.lindblad import (
     steady_state,
 )
 from qndsim.rates import (
+    cooperativities,
     feasibility,
     max_monitorable_state,
-    measurement_to_thermal_ratio,
     transition_rates,
 )
-from qndsim.system import cooperativities
 from qndsim.trajectories import channel_coefficients, ensemble
 from qndsim.twomode import TwoModeParams, mim_effective_g2, mim_frequencies
 
@@ -56,7 +55,7 @@ class TestCriterion1:
     def test_reference_point_headline_numbers(self, ref_params):
         t0 = time.perf_counter()
         coop = cooperativities(ref_params)
-        ratio = measurement_to_thermal_ratio(ref_params)
+        ratio = coop.q2
         raw, floor = max_monitorable_state(ref_params)
         wall = time.perf_counter() - t0
         ok = (
@@ -82,7 +81,7 @@ class TestCriterion1:
 class TestCriterion2:
     def test_measurement_ladder_is_exact(self):
         vals = [
-            measurement_to_thermal_ratio(make_ref(nbar_photon=nb))
+            cooperativities(make_ref(nbar_photon=nb)).q2
             for nb in (1.0, 10.0, 100.0)
         ]
         ok = vals == [0.32, 3.2, 32.0]

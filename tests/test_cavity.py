@@ -1,5 +1,7 @@
 """Cavity susceptibility and photon-number spectrum."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,3 +101,16 @@ class TestPhotonNumberSpectrum:
         assert photon_number_spectrum(w, 0.0, kappa, 3.0) == photon_number_spectrum(
             -w, 0.0, kappa, 3.0
         )
+
+    @given(
+        w=st.fractions(-10**12, 10**12),
+        delta=st.fractions(-10**10, 10**10),
+        kappa=st.fractions(Fraction(1, 10**3), 10**11),
+        nbar=st.fractions(0, 10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fractions_give_the_exact_lorentzian(self, w, delta, kappa, nbar):
+        # the expression the float rates use, evaluated in exact arithmetic
+        s = photon_number_spectrum(w, delta, kappa, nbar)
+        assert type(s) is Fraction
+        assert s == nbar * kappa / ((w - delta) ** 2 + (kappa / 2) ** 2)

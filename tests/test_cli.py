@@ -901,3 +901,74 @@ class TestImportFootprint:
         assert "scipy.integrate" in got["evolve"]
         # the benchmark's tracer wraps these two module attributes
         assert got["targets"] == [True, True]
+
+
+DETERMINISM = """
+import hashlib, sys
+from pathlib import Path
+from qndsim import cli
+
+out, config = Path(sys.argv[1]), sys.argv[2]
+runs = (
+    ["rates", "--out", "rates.csv"],
+    ["feasibility", "--dominance", "5", "--out", "feasibility.json"],
+    ["sweep", "--axis", "g2_hz", "--grid", "log:1e4:1e6:7", "--out", "sweep.csv"],
+    ["traject", "--count", "4", "--t-final", "0.05", "--seed", "3", "--out", "traj"],
+)
+for argv in runs:
+    args = [argv[0], "--config", config] + argv[1:-1] + [str(out / argv[-1])]
+    assert cli.main(args) == 0, argv
+digest = hashlib.sha256()
+for path in sorted(out.iterdir()):
+    digest.update(path.name.encode() + b"\\0" + path.read_bytes())
+print(digest.hexdigest())
+"""
+
+
+def dispatched_cpu_features():
+    """numpy's runtime-dispatched SIMD targets that this CPU supports."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+class TestCrossMachineDeterminism:
+    """The outputs the README promises on every machine do not follow the
+    SIMD target or the BLAS kernel.
+
+    ``rates``, ``feasibility``, ``sweep`` and ``traject`` run in one fresh
+    process per environment: the defaults, numpy's dispatched SIMD targets
+    switched off, and OpenBLAS forced to its oldest x86-64 kernel. ``evolve``
+    and the quantum-jump unraveling hold per machine only, so they are
+    left out.
+    """
+
+    ENVIRONMENTS = {
+        "default": {},
+        "no_simd_dispatch": {
+            "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched_cpu_features())
+        },
+        "prescott_blas": {"OPENBLAS_CORETYPE": "Prescott"},
+    }
+
+    def test_outputs_do_not_follow_simd_or_blas(self, ref_config, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        digests = {}
+        for name, extra in self.ENVIRONMENTS.items():
+            env = {
+                k: v for k, v in os.environ.items()
+                if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+            }
+            env.update(extra, PYTHONPATH=str(src), QND_THREADS="1")
+            out = tmp_path / name
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", DETERMINISM, str(out), ref_config],
+                env=env, cwd=tmp_path, capture_output=True, text=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests[name] = proc.stdout.split()[-1]
+        assert len(set(digests.values())) == 1, digests

@@ -1,7 +1,11 @@
 """Transition rates, measurement rate, and the feasibility hierarchy."""
 
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,24 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qndsim.constants import TWO_PI
+from qndsim.lindblad import bipartite_generator, reduced_generator
 from qndsim.rates import (
     CHECK_NAMES,
-    _exact_coefficients,
+    _exact,
+    _weights,
     channel_coefficients,
     channel_rates,
+    cooperativities,
     feasibility,
     ground_state_rates,
     max_monitorable_state,
     measurement_rate,
-    measurement_to_thermal_ratio,
     number_dephasing_weight,
     rate_table,
     transition_rates,
 )
-from qndsim.system import cooperativities
 from qndsim.trajectories import default_n_cap
 
 from conftest import make_ref
+
+GOLDEN_RATES = Path(__file__).with_name("golden_rate_layer.json")
 
 
 def decimals(lo, hi, zero=False):
@@ -37,6 +44,21 @@ def decimals(lo, hi, zero=False):
         st.integers(lo, hi),
     )
     return st.one_of(st.just(0.0), values) if zero else values
+
+
+# Decimal configs over the ranges of the paper-formula test below.
+DECIMAL_CONFIGS = st.fixed_dictionaries(
+    dict(
+        omega_m_hz=decimals(3, 9),
+        gamma_m_hz=decimals(-2, 4),
+        kappa_hz=decimals(3, 9),
+        delta_hz=st.one_of(decimals(3, 9, zero=True), decimals(3, 9).map(lambda v: -v)),
+        g1_hz=decimals(0, 6, zero=True),
+        g2_hz=decimals(0, 6, zero=True),
+        nbar_th=decimals(-4, 1, zero=True),
+        nbar_photon=decimals(-2, 4, zero=True),
+    )
+)
 
 
 def paper_ratios(kw, n):
@@ -170,8 +192,19 @@ class TestTransitionRates:
     @pytest.mark.parametrize("overrides", [{}, dict(delta_hz=3e8, nbar_th=3.0)])
     def test_exact_coefficients_are_the_float_ones_in_hz(self, overrides):
         p = make_ref(**overrides)
-        hz = [TWO_PI * float(c) for c in _exact_coefficients(p)]
+        hz = [TWO_PI * float(c) for c in _weights(*_exact(p))]
         assert hz == pytest.approx(channel_coefficients(p).tolist(), rel=1e-13)
+
+    @given(kw=DECIMAL_CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_coefficients_match_float_ones_on_decimal_configs(self, kw):
+        # one statement of the weights, evaluated in both arithmetics; the
+        # float route rounds omega and delta apart, and omega - delta can
+        # cancel three decimal digits (-2 * 96.4e6 Hz against -193e6 Hz
+        # differs by 3.4e-13), hence 1e-11 rather than a few ulps
+        p = make_ref(**kw)
+        hz = [TWO_PI * float(c) for c in _weights(*_exact(p))]
+        assert hz == pytest.approx(channel_coefficients(p).tolist(), rel=1e-11)
 
     @pytest.mark.parametrize(
         "overrides", [{}, dict(delta_hz=1600.0, omega_m_hz=800.0, kappa_hz=400.0)]
@@ -213,7 +246,7 @@ class TestMeasurementRate:
     def test_ratio_ladder_exact(self):
         # scaling the photon number walks the ratio through 0.32, 3.2, 32
         values = [
-            measurement_to_thermal_ratio(make_ref(nbar_photon=nb))
+            cooperativities(make_ref(nbar_photon=nb)).q2
             for nb in (1.0, 10.0, 100.0)
         ]
         assert values == [0.32, 3.2, 32.0]
@@ -232,7 +265,7 @@ class TestMeasurementRate:
         )
 
     def test_zero_thermal_gives_infinite_ratio(self):
-        assert math.isinf(measurement_to_thermal_ratio(make_ref(nbar_th=0.0)))
+        assert math.isinf(cooperativities(make_ref(nbar_th=0.0)).q2)
 
 
 class TestMaxMonitorableState:
@@ -298,6 +331,19 @@ class TestFeasibility:
             feasibility(ref_params, -1)
         with pytest.raises(ValueError):
             feasibility(ref_params, 0, dominance=1.0)
+
+    def test_fock_index_must_be_an_integer(self, ref_params):
+        for fn in (transition_rates, feasibility):
+            with pytest.raises(ValueError, match="integer"):
+                fn(ref_params, 2.5)
+            with pytest.raises(ValueError, match="integer"):
+                fn(ref_params, 3.0)
+        # numpy integers are integers
+        rep = feasibility(ref_params, np.int64(3))
+        assert type(rep.n) is int and rep == feasibility(ref_params, 3)
+        assert transition_rates(ref_params, np.uint8(3)) == transition_rates(
+            ref_params, 3
+        )
 
     def test_zero_bath_without_quadratic_coupling(self):
         # no g2 means no measurement: Q2 is 0 as in cooperativities, not inf
@@ -398,3 +444,84 @@ class TestRateTable:
 def test_nan_dominance_rejected(ref_params):
     with pytest.raises(ValueError, match="dominance"):
         feasibility(ref_params, 0, dominance=math.nan)
+
+
+def rate_layer_digest(p, dominance):
+    """sha256 over every float and verdict the rate layer gives for ``p``.
+
+    The channel coefficients and generator weights enter as ``float.hex``,
+    the rest as reprs, so one changed bit anywhere changes the digest.
+    """
+    parts = [c.hex() for c in channel_coefficients(p).tolist()]
+    for fn in (cooperativities, max_monitorable_state, ground_state_rates,
+               measurement_rate):
+        parts.append(repr(fn(p)))
+    for n in (0, 1, 3, 7):
+        parts.append(repr(transition_rates(p, n)))
+        parts.append(repr(feasibility(p, n, dominance)))
+    try:
+        parts.append(repr(rate_table(p, 7)))
+    except ValueError as err:  # no thermal normalizer
+        parts.append("ValueError: %s" % err)
+    for gen in (reduced_generator(p, 4), bipartite_generator(p, 2, 2)):
+        parts += [w.hex() for _, w in gen.channels]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def golden_rate_grid(seed=2018, count=400):
+    """Seeded decimal configs m x 10^e over the ranges of
+    :func:`test_ratios_are_the_exact_paper_formulas`; g1, g2, delta,
+    nbar_th and nbar_photon are exactly 0 in about one draw in six.
+    Returns (keys, rows), each row the config values then a dominance.
+    """
+    rng = random.Random(seed)
+
+    def dec(lo, hi, zero=False):
+        if zero and rng.random() < 1 / 6:
+            return 0.0
+        return float("%de%d" % (rng.randint(1, 999), rng.randint(lo, hi)))
+
+    keys = ("omega_m_hz", "gamma_m_hz", "kappa_hz", "delta_hz", "g1_hz",
+            "g2_hz", "nbar_th", "nbar_photon", "dominance")
+    rows = []
+    for _ in range(count):
+        delta = dec(3, 9, zero=True) * rng.choice((1, -1))
+        rows.append([
+            dec(3, 9), dec(-2, 4), dec(3, 9), delta, dec(0, 6, zero=True),
+            dec(0, 6, zero=True), dec(-4, 1, zero=True), dec(-2, 4, zero=True),
+            rng.randint(11, 999) / 10,
+        ])
+    return keys, rows
+
+
+def record_golden_rate_layer():
+    """Rewrite :data:`GOLDEN_RATES` from the current code."""
+    keys, rows = golden_rate_grid()
+    lines = [
+        json.dumps(row + [rate_layer_digest(make_ref(**dict(zip(keys, row[:-1]))),
+                                            row[-1])])
+        for row in rows
+    ]
+    GOLDEN_RATES.write_text(
+        '{"keys": %s,\n "runs": [\n  %s\n ]}\n'
+        % (json.dumps(keys), ",\n  ".join(lines))
+    )
+
+
+def test_rate_layer_matches_golden():
+    # recorded before the float and exact statements of each rate were
+    # merged into one function per formula
+    gold = json.loads(GOLDEN_RATES.read_text())
+    keys = gold["keys"]
+    assert len(gold["runs"]) == 400
+    wrong = []
+    for i, run in enumerate(gold["runs"]):
+        *values, dominance, digest = run
+        p = make_ref(**dict(zip(keys, values)))
+        if rate_layer_digest(p, dominance) != digest:
+            wrong.append(i)
+    assert wrong == []
+
+
+if __name__ == "__main__":
+    record_golden_rate_layer()

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qndsim.constants import HBAR, K_B, TWO_PI
-from qndsim.rates import feasibility, max_monitorable_state
+from qndsim.rates import cooperativities, feasibility, max_monitorable_state
 from qndsim.system import (
     ANGULAR_RATES,
     CONFIG_KEYS,
     REQUIRED_KEYS,
     SystemParams,
-    cooperativities,
     params_from_mapping,
     read_config,
     temperature_for_occupancy,

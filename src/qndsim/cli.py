@@ -159,9 +159,10 @@ def cmd_feasibility(args) -> int:
     return 0 if report.ok else 2
 
 
-# Largest dimension evolve picks without --dim. The state is a dense d x d
-# complex matrix, 16 d^2 bytes, and DOP853 holds about a dozen vectors of
-# that size, so d = 1024 already asks for ~200 MB before the first step.
+# Largest dimension evolve picks without --dim. evolve keeps every grid
+# state, 16 * grid * d^2 bytes, and its diagnostics copy that stack: about
+# 3.5 copies at peak, 56 * grid * d^2 bytes. One copy at d = 1024 and the
+# default grid of 201 is 3.4 GB, so this bound does not bound the memory.
 MAX_PICKED_DIM = 1024
 
 

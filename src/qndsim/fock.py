@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import SystemParams
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -121,37 +119,6 @@ def dissipator_action(o, rho) -> np.ndarray:
     odag = om.conj().T
     oo = odag @ om
     return 2.0 * (om @ rm @ odag) - oo @ rm - rm @ oo
-
-
-def hamiltonian_split(
-    params: SystemParams, dim_c: int, dim_m: int, omega_c: float = 0.0
-):
-    """Number-conserving and number-breaking Hamiltonian parts.
-
-    H0 = [omega_c + g2 (b†b + 1/2)] a†a + omega_m b†b commutes with the
-    phonon number; H' = g1 (b + b†) a†a + (g2/2)(bb + b†b†) a†a does not.
-    Both are dim_c * dim_m product-space matrices in rad/s. The optical
-    carrier omega_c only shifts diagonal entries and defaults to zero.
-    """
-    if dim_c < 2 or dim_m < 2:
-        raise ValueError("both dimensions must be at least 2")
-    if not math.isfinite(omega_c):
-        raise ValueError("omega_c must be finite (got %r)" % omega_c)
-    p = params
-    a, adag, n_a = ladder(dim_c)
-    b, bdag, n_b = ladder(dim_m)
-    eye_m = np.eye(dim_m, dtype=complex)
-    bb = b @ b
-    bdbd = bdag @ bdag
-    h0 = (
-        np.kron(n_a, (omega_c * eye_m) + p.g2 * (n_b + 0.5 * eye_m))
-        + p.omega_m * np.kron(np.eye(dim_c, dtype=complex), n_b)
-    )
-    hp = (
-        p.g1 * np.kron(n_a, b + bdag)
-        + (p.g2 / 2.0) * np.kron(n_a, bb + bdbd)
-    )
-    return h0, hp
 
 
 def suggest_dim(nbar: float, tail_mass: float = 1e-6, minimum: int = 2) -> int:

@@ -33,13 +33,6 @@ def thermal_occupancy(omega_m: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def temperature_for_occupancy(omega_m: float, nbar_th: float) -> float:
-    """Inverse of :func:`thermal_occupancy`: bath temperature in K."""
-    if nbar_th <= 0.0:
-        raise ValueError("occupancy must be positive to define a temperature")
-    return HBAR * omega_m / (K_B * math.log1p(1.0 / nbar_th))
-
-
 # The rad/s properties of SystemParams, each 2*pi times its "_hz" field.
 ANGULAR_RATES = ("omega_m", "gamma_m", "kappa", "kappa_e", "delta", "g1", "g2")
 
@@ -60,12 +53,10 @@ class SystemParams:
     g1_hz, g2_hz : float
         Single-photon linear and quadratic coupling rates (>= 0).
     nbar_th : float
-        Mechanical bath occupancy (resolved at construction).
+        Mechanical bath occupancy, given or resolved from ``temperature_k``.
     nbar_photon : float
-        Mean intracavity photon number (resolved at construction).
-    temperature, power, omega_d_hz, mass : float or None
-        Originals when the bath/drive was specified indirectly; omega_d_hz
-        is the drive frequency, mass the motional mass in kg.
+        Mean intracavity photon number, given or resolved from ``power_w``
+        and ``omega_d_hz``. Those inputs are not kept.
 
     ``omega_m``, ``gamma_m``, ``kappa``, ``kappa_e``, ``delta``, ``g1`` and
     ``g2`` are the same rates in rad/s: 2*pi times the Hz field.
@@ -80,10 +71,6 @@ class SystemParams:
     g2_hz: float
     nbar_th: float
     nbar_photon: float
-    temperature: float | None = None
-    power: float | None = None
-    omega_d_hz: float | None = None
-    mass: float | None = None
 
     omega_m = property(lambda self: TWO_PI * self.omega_m_hz)
     gamma_m = property(lambda self: TWO_PI * self.gamma_m_hz)
@@ -106,8 +93,6 @@ class SystemParams:
             raise ValueError("nbar_th must be non-negative")
         if self.nbar_photon < 0:
             raise ValueError("nbar_photon must be non-negative")
-        if self.mass is not None and self.mass <= 0:
-            raise ValueError("mass must be positive")
 
     # -- constructors ------------------------------------------------------
 
@@ -127,7 +112,6 @@ class SystemParams:
         nbar_photon: float | None = None,
         power_w: float | None = None,
         omega_d_hz: float | None = None,
-        mass_kg: float | None = None,
     ) -> "SystemParams":
         """Build from ordinary frequencies in Hz, resolving bath and drive.
 
@@ -167,18 +151,7 @@ class SystemParams:
             g2_hz=g2_hz,
             nbar_th=nbar_th,
             nbar_photon=nbar_photon,
-            temperature=temperature_k,
-            power=power_w,
-            omega_d_hz=omega_d_hz,
-            mass=mass_kg,
         )
-
-
-def zero_point_amplitude(p: SystemParams) -> float:
-    """Mechanical zero-point amplitude sqrt(hbar / (2 m omega_m)) in meters."""
-    if p.mass is None:
-        raise ValueError("zero-point amplitude requires the motional mass")
-    return math.sqrt(HBAR / (2.0 * p.mass * p.omega_m))
 
 
 def _require_finite(obj, derived=()) -> None:

@@ -72,14 +72,6 @@ class Trajectory:
     snapshots: np.ndarray | None = None
 
     @property
-    def events(self) -> list:
-        """Event list as (time_s, new_n, channel_index) tuples."""
-        return [
-            (float(t), int(n), int(c))
-            for t, n, c in zip(self.times, self.new_ns, self.channels)
-        ]
-
-    @property
     def n_events(self) -> int:
         return len(self.times)
 
@@ -115,14 +107,6 @@ class Trajectory:
         if np.any(states < 0):
             raise ValueError("negative phonon number in record")
         return self
-
-    def occupancy_times(self, n_states: int) -> np.ndarray:
-        """Total time spent in each state 0..n_states-1."""
-        states, dwell, _ = self.segments()
-        keep = states < n_states
-        out = np.zeros(n_states)
-        np.add.at(out, states[keep], dwell[keep])
-        return out
 
     def boxcar(self, window: float):
         """Boxcar-averaged occupation: (bin_center_s, mean_n) arrays.

@@ -113,14 +113,6 @@ class TwoModeParams:
             and self.G2_a2 == 0.0
         )
 
-    @property
-    def is_wgm_form(self) -> bool:
-        return (
-            self.is_degenerate
-            and self.G1_a1 == self.G1_a2
-            and self.G2_a1 == self.G2_a2
-        )
-
 
 def _three_mode(op1, op2, op_m) -> np.ndarray:
     return np.kron(np.kron(op1, op2), op_m)
@@ -238,18 +230,6 @@ def mim_frequencies(p: TwoModeParams, x):
     return w_plus, w_minus
 
 
-def mim_frequencies_quadratic(p: TwoModeParams, x):
-    """Small-displacement expansion omega_0 +/- (nu + G2' x^2)."""
-    g2p = mim_effective_g2(p).G2_prime
-    x = np.asarray(x, dtype=float)
-    shift = p.nu + g2p * x * x
-    w_plus = p.omega_0 + shift
-    w_minus = p.omega_0 - shift
-    if w_plus.ndim == 0:
-        return float(w_plus), float(w_minus)
-    return w_plus, w_minus
-
-
 class EffectiveQuadratic(NamedTuple):
     G2_prime: float  # rad/s/m^2
     g2: float | None  # rad/s, present when x_zpf was supplied
@@ -334,10 +314,3 @@ def single_mode_mapping(
         n2,
         candidates=((n_eff, 1.0), (n_eff, 0.5)),
     )
-
-
-def quadratic_approximation_error(p: TwoModeParams, x) -> np.ndarray:
-    """|exact - quadratic| / nu on a displacement grid (diagnostic)."""
-    exact_p, _ = mim_frequencies(p, x)
-    approx_p, _ = mim_frequencies_quadratic(p, x)
-    return np.abs(np.asarray(exact_p) - np.asarray(approx_p)) / p.nu

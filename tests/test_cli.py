@@ -331,6 +331,19 @@ class TestSweep:
         assert code == 1
         assert "unknown sweep axis" in capsys.readouterr().err
 
+    def test_mass_is_not_an_input(self, ref_config, tmp_path, capsys):
+        # no formula reads a motional mass, so neither route accepts one
+        code = main(
+            ["sweep", "--config", ref_config, "--axis", "mass_kg",
+             "--grid", "list:1,2"]
+        )
+        assert code == 1
+        assert "unknown sweep axis 'mass_kg'" in capsys.readouterr().err
+        path = tmp_path / "mass.json"
+        path.write_text(json.dumps(dict(REF_KW, mass_kg=1e-15)))
+        assert main(["rates", "--config", str(path)]) == 1
+        assert "unknown config key 'mass_kg'" in capsys.readouterr().err
+
     def test_bad_grid_spec(self, ref_config, capsys):
         code = main(
             ["sweep", "--config", ref_config, "--axis", "nbar_photon",

@@ -12,7 +12,6 @@ from qndsim.fock import (
     diagonal_state,
     dissipator_action,
     fock_state,
-    hamiltonian_split,
     ladder,
     product_state,
     suggest_dim,
@@ -132,47 +131,6 @@ class TestDissipator:
         b, _, _ = ladder(3)
         with pytest.raises(ValueError):
             dissipator_action(b, fock_state(4, 0))
-
-
-class TestHamiltonianSplit:
-    def test_conserving_part_commutes_with_number(self, ref_params):
-        h0, hp = hamiltonian_split(ref_params, 3, 5)
-        n_full = np.kron(np.eye(3), ladder(5)[2])
-        assert np.linalg.norm(h0 @ n_full - n_full @ h0) < 1e-6
-        # the breaking part does not commute
-        assert np.linalg.norm(hp @ n_full - n_full @ hp) > 1.0
-
-    def test_both_parts_hermitian(self, ref_params):
-        h0, hp = hamiltonian_split(ref_params, 3, 4)
-        assert np.allclose(h0, h0.conj().T)
-        assert np.allclose(hp, hp.conj().T)
-
-    def test_vacuum_cavity_block_is_mechanical_only(self, ref_params):
-        # zero photons: only omega_m b†b survives in H0
-        h0, hp = hamiltonian_split(ref_params, 2, 4)
-        block = h0[:4, :4]
-        assert np.allclose(
-            block, ref_params.omega_m * np.diag(np.arange(4.0)), rtol=1e-12
-        )
-        assert np.allclose(hp[:4, :4], 0.0)
-
-    def test_dispersive_shift_per_photon(self, ref_params):
-        # the photon block at phonon n carries g2 (n + 1/2) per photon
-        h0, _ = hamiltonian_split(ref_params, 3, 4)
-        p = ref_params
-        for n in range(4):
-            e0 = h0[n, n].real
-            e1 = h0[4 + n, 4 + n].real
-            assert e1 - e0 == pytest.approx(p.g2 * (n + 0.5), rel=1e-12)
-
-    def test_minimum_dimensions(self, ref_params):
-        with pytest.raises(ValueError):
-            hamiltonian_split(ref_params, 1, 4)
-
-    def test_carrier_must_be_finite(self, ref_params):
-        for omega_c in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="omega_c must be finite"):
-                hamiltonian_split(ref_params, 2, 3, omega_c=omega_c)
 
 
 class TestSuggestDim:

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from qndsim.constants import TWO_PI
+from qndsim.fock import ladder
 from qndsim.twomode import (
     REGIME_DOMINANCE,
     TwoModeParams,
     backscatter_occupancy,
     mim_effective_g2,
     mim_frequencies,
-    mim_frequencies_quadratic,
-    quadratic_approximation_error,
     single_mode_mapping,
     supermode_hamiltonian,
     twomode_hamiltonian,
@@ -22,6 +21,19 @@ from qndsim.twomode import (
 
 def kron3(a, b, c):
     return np.kron(np.kron(a, b), c)
+
+
+def photon_shells(dim, dim_mech):
+    """Total photon number n1 + n2 of each product basis index."""
+    n1 = np.repeat(np.arange(dim), dim * dim_mech)
+    n2 = np.tile(np.repeat(np.arange(dim), dim_mech), dim)
+    return n1 + n2
+
+
+def quadratic_branches(p, x):
+    """Small-displacement expansion omega_0 +/- (nu + G2' x^2)."""
+    shift = p.nu + mim_effective_g2(p).G2_prime * np.asarray(x) ** 2
+    return p.omega_0 + shift, p.omega_0 - shift
 
 
 class TestParams:
@@ -36,8 +48,7 @@ class TestParams:
     def test_form_classifiers(self):
         mim = TwoModeParams.mim(5.0, 0.5, G1=0.3)
         wgm = TwoModeParams.wgm(5.0, 0.5, G1=0.3, G2=0.1)
-        assert mim.is_mim_form and not mim.is_wgm_form
-        assert wgm.is_wgm_form and not wgm.is_mim_form
+        assert mim.is_mim_form and not wgm.is_mim_form
         assert mim.g1_difference == 0.3 and mim.g1_sum == 0.0
         assert wgm.g1_sum == 0.3 and wgm.g1_difference == 0.0
         assert wgm.g2_sum == pytest.approx(0.05)
@@ -129,19 +140,36 @@ class TestHamiltonians:
 
     def test_unitary_equivalence_on_complete_shells(self):
         # basis rotation preserves each total-photon block; truncation only
-        # mutilates the incomplete shells above n1+n2 = dim-1, so compare
-        # spectra blockwise below that
-        p = TwoModeParams.mim(5.0, 0.7, G1=0.3)
+        # mutilates the incomplete shells from n1+n2 = dim up (at dim the
+        # spectra differ by 0.99), so compare spectra blockwise below that.
+        # Unequal pulls make g1_sum, g1_difference, g2_sum and
+        # g2_difference all nonzero, and a sign slip in any one moves the
+        # spectrum (the g2 exchange term breaks the d -> -d symmetry)
+        p = TwoModeParams.degenerate(
+            5.0, 0.7, G1_a1=0.3, G1_a2=-0.11, G2_a1=0.2, G2_a2=0.05
+        )
         dim, dm = 4, 3
         h_bare = twomode_hamiltonian(p, dim, dim_mech=dm, omega_m=1.3)
         h_super = supermode_hamiltonian(p, dim, dim_mech=dm, omega_m=1.3)
-        n1 = np.repeat(np.arange(dim), dim * dm)
-        n2 = np.tile(np.repeat(np.arange(dim), dm), dim)
+        shells = photon_shells(dim, dm)
         for n in range(dim):
-            idx = np.flatnonzero(n1 + n2 == n)
+            idx = np.flatnonzero(shells == n)
             e_bare = np.linalg.eigvalsh(h_bare[np.ix_(idx, idx)])
             e_super = np.linalg.eigvalsh(h_super[np.ix_(idx, idx)])
-            assert np.max(np.abs(e_bare - e_super)) < 1e-10
+            assert np.max(np.abs(e_bare - e_super)) < 1e-12
+
+    def test_one_photon_block_matches_branch_frequencies(self):
+        # with omega_m = 0 the one-photon block is the 2x2 MIM matrix at
+        # each eigenvalue x_k of x_zpf (b + b^dag), so its spectrum is the
+        # closed form omega_0 +/- sqrt(nu^2 + G1^2 x_k^2) that twomode reports
+        p = TwoModeParams.mim(5.0, 0.5, G1=0.3)
+        dm, x_zpf = 6, 0.7
+        h = twomode_hamiltonian(p, 2, dim_mech=dm, x_zpf=x_zpf, omega_m=0.0)
+        idx = np.flatnonzero(photon_shells(2, dm) == 1)
+        got = np.linalg.eigvalsh(h[np.ix_(idx, idx)])
+        b, bdag, _ = ladder(dm)
+        wp, wm = mim_frequencies(p, np.linalg.eigvalsh(x_zpf * (b + bdag)))
+        assert np.max(np.abs(got - np.sort(np.concatenate((wp, wm))))) < 1e-13
 
     def test_wgm_supermode_has_no_exchange_part(self):
         # identical pulls: each supermode population is conserved
@@ -158,7 +186,7 @@ class TestBranchFrequencies:
         p = TwoModeParams.mim(5.0, 0.5, G1=0.3)
         wp, wm = mim_frequencies(p, 0.0)
         assert wp == 5.5 and wm == 4.5
-        qp, qm = mim_frequencies_quadratic(p, 0.0)
+        qp, qm = quadratic_branches(p, 0.0)
         assert qp == 5.5 and qm == 4.5
 
     def test_displaced_splitting(self):
@@ -194,7 +222,8 @@ class TestBranchFrequencies:
         # s = (G1 x / nu)^2, so below (G1 x / nu)^4 throughout
         p = TwoModeParams.mim(5.0, 1.0, G1=1.0)
         x = np.linspace(0.05, 0.5, 19)
-        err = quadratic_approximation_error(p, x)
+        exact, quadratic = mim_frequencies(p, x)[0], quadratic_branches(p, x)[0]
+        err = np.abs(exact - quadratic) / p.nu
         s = x**2
         assert np.all(err <= s**2 / 8.0 + 1e-15)
         assert np.all(err >= s**2 / 16.0)

@@ -185,7 +185,7 @@ def _parse_initial(spec: str, dim_arg):
     if kind == "thermal" and rest:
         nbar = _number("thermal occupancy")(rest)
         if dim_arg is None:
-            dim_arg = _picked_dim(max(suggest_dim(nbar, tail_mass=1e-9) + 4, 12))
+            dim_arg = _picked_dim(max(suggest_dim(nbar) + 4, 12))
         return thermal_state(dim_arg, nbar), dim_arg
     if kind == "diag" and rest:
         probs = list(map(_number("diag probability"), rest.split(",")))

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# thermal probability mass a truncated state may leave out
+TAIL_MASS = 1e-9
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -121,22 +124,21 @@ def dissipator_action(o, rho) -> np.ndarray:
     return 2.0 * (om @ rm @ odag) - oo @ rm - rm @ oo
 
 
-def suggest_dim(nbar: float, tail_mass: float = 1e-6, minimum: int = 2) -> int:
-    """Smallest dimension whose Bose-Einstein tail mass is below tail_mass.
+def suggest_dim(nbar: float) -> int:
+    """Smallest dimension, at least 2, whose Bose-Einstein tail mass is
+    below TAIL_MASS.
 
     For occupancy nbar the probability mass outside the first d states is
     (nbar/(nbar+1))^d; zero occupancy needs only the floor value.
     """
     if not 0 <= nbar < math.inf:
         raise ValueError("occupancy must be non-negative and finite")
-    if not 0 < tail_mass < 1:
-        raise ValueError("tail_mass must lie in (0, 1)")
     if nbar == 0:
-        return max(2, minimum)
+        return 2
     r = nbar / (nbar + 1.0)
     if r == 1.0:
         raise ValueError(
             "occupancy %r is too large to size a truncated state" % nbar
         )
-    d = int(math.ceil(math.log(tail_mass) / math.log(r)))
-    return max(d, 2, minimum)
+    d = int(math.ceil(math.log(TAIL_MASS) / math.log(r)))
+    return max(d, 2)

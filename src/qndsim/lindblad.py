@@ -16,7 +16,7 @@ decades separating cavity and phonon rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -155,7 +155,6 @@ class EvolutionResult:
     hermiticity_errors: np.ndarray
     min_eigenvalues: np.ndarray
     snapshots: list | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def max_trace_error(self) -> float:
@@ -305,12 +304,11 @@ def evolve(
     rho0,
     t_final: float,
     grid: int = 201,
-    rtol: float = 1e-8,
     store_states: bool = False,
 ) -> EvolutionResult:
     """Integrate d(rho)/dt = gen.apply(rho) from rho0 over [0, t_final] seconds.
 
-    Adaptive DOP853 stepping with relative tolerance ``rtol`` and absolute
+    Adaptive DOP853 stepping with relative tolerance 1e-8 and absolute
     tolerance 1e-12; no trace renormalization is applied, trace drift
     shows up in the diagnostics. Raises on integrator stall, naming the
     stiffness ratio.
@@ -331,7 +329,7 @@ def evolve(
         r0.reshape(-1).astype(complex),
         method="DOP853",
         t_eval=tau_grid,
-        rtol=rtol,
+        rtol=1e-8,
         atol=1e-12,
     )
     if not sol.success:
@@ -349,7 +347,6 @@ def evolve(
         hermiticity_errors=np.max(np.abs(rhos - adj), axis=(1, 2)),
         min_eigenvalues=np.linalg.eigvalsh((rhos + adj) / 2.0)[:, 0],
         snapshots=list(rhos) if store_states else None,
-        meta={"t_final_s": float(t_final), "grid": int(grid), "rtol": rtol},
     )
 
 
@@ -394,9 +391,6 @@ def extract_transition_rate(
     to_state: int,
     t_start: float,
     t_final: float,
-    grid: int = 201,
-    min_r2: float = 0.995,
-    rtol: float = 1e-9,
 ) -> float:
     """Initial-growth rate (1/s) of a target population.
 
@@ -404,8 +398,8 @@ def extract_transition_rate(
     (cavity, mech) pair for bipartite ones) and fits a straight line to
     the ``to_state`` population over [t_start, t_final]; t_start should
     skip the cavity dressing transient, and the window must stay short
-    against 1/rate so the growth is linear. A poor fit (R^2 below
-    ``min_r2``) raises with the advice to shorten the window.
+    against 1/rate so the growth is linear. A poor fit (R^2 below 0.995)
+    raises with the advice to shorten the window.
     """
     if not 0.0 <= t_start < t_final:
         raise ValueError("need 0 <= t_start < t_final")
@@ -420,7 +414,7 @@ def extract_transition_rate(
         dc, dm = gen.subsystem_dims
         ic, nm = from_state
         rho0 = product_state(fock_state(dc, int(ic)), fock_state(dm, int(nm)))
-    res = evolve(gen, rho0, t_final, grid=grid, rtol=rtol)
+    res = evolve(gen, rho0, t_final)
     mask = res.times >= t_start
     if int(mask.sum()) < 8:
         raise ValueError("fewer than 8 grid points in the fit window")
@@ -433,7 +427,7 @@ def extract_transition_rate(
     if ss_tot <= 0.0:
         return 0.0
     r2 = 1.0 - ss_res / ss_tot
-    if r2 < min_r2:
+    if r2 < 0.995:
         raise ValueError(
             "population growth is nonlinear over the window (R^2 = %.6f); "
             "shorten the fit window" % r2

@@ -38,7 +38,8 @@ from .system import SystemParams
 # CHANNEL_DELTAS gives the phonon-number change of each of CHANNELS.
 _DELTAS = np.array(CHANNEL_DELTAS)
 _CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNELS)}
-_DELTA_TO_CHANNEL = {1: 0, -1: 1, 2: 4, -2: 5}
+# an inferred change is an optical sideband event: thermal jumps are labelled
+_DELTA_TO_CHANNEL = {1: 2, -1: 3, 2: 4, -2: 5}
 
 
 class TruncationError(RuntimeError):
@@ -155,7 +156,7 @@ def default_n_cap(params: SystemParams) -> int:
 
     The headroom factor covers the n^2 growth of the two-phonon channels.
     """
-    return max(4 * suggest_dim(params.nbar_th, tail_mass=1e-9), 20)
+    return max(4 * suggest_dim(params.nbar_th), 20)
 
 
 @functools.lru_cache(maxsize=1)
@@ -230,8 +231,10 @@ def simulate_quantum_jump(
     threshold, with the crossing located to machine precision; the channel
     is drawn proportionally to w_k |o_k psi|^2. A channel labelled with a
     CHANNELS name records that event; ``"dephasing"`` records a null jump;
-    any other label, or none, records the event whose phonon-number change
-    is the jump's change in rounded mean n, or a null jump if none is.
+    any other label, or none, records the optical sideband event
+    (``opt_up1``/``opt_down1`` for a change of +-1, ``opt_up2``/``opt_down2``
+    for +-2) whose phonon-number change is the jump's change in rounded
+    mean n, or a null jump if none is.
     Null jumps are tallied in ``null_jumps``, not the event arrays.
     Snapshots, when requested, are normalized states on the given time grid
     (seconds). A drift that no eigendecomposition reproduces to 1e-10

@@ -354,21 +354,13 @@ class TestSweep:
 
 
 class TestTwomode:
-    def write_config(self, tmp_path, **extra):
-        cfg = {
-            "omega_0_hz": 200e12,
-            "nu_hz": 10e9,
-            "G1_a1_hz_per_m": 2e9,
-            "G1_a2_hz_per_m": -2e9,
-            "kappa_hz": 1e6,
-            **extra,
-        }
+    def write_config(self, tmp_path):
         path = tmp_path / "twomode.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(TWOMODE_KW))
         return str(path)
 
     def test_json_report(self, tmp_path):
-        cfg = self.write_config(tmp_path, nbar_1=100.0)
+        cfg = self.write_config(tmp_path)
         out = tmp_path / "tm.json"
         code = main(
             ["twomode", "--config", cfg, "--format", "json",
@@ -655,219 +647,6 @@ class TestInputBoundary:
         }
 
 
-class TestArtifactBytes:
-    """Every byte the reference commands write, pinned by sha256.
-
-    The digests were recorded with the row-by-row CSV renderer and the
-    per-bin boxcar loop, so the column renderer and the stay-binned boxcar
-    must reproduce those files exactly. ``QND_THREADS=1`` fixes
-    ``meta.threads`` in the stats JSON, the one field that follows the host.
-    """
-
-    RUNS = (
-        ["rates", "--out", "{d}/rates.csv"],
-        ["sweep", "--axis", "g2_hz", "--grid", "log:1e4:1e6:7",
-         "--out", "{d}/sweep.csv"],
-        ["traject", "--count", "4", "--t-final", "0.05", "--seed", "3",
-         "--out", "{d}/traj"],
-        # 0.05 / 0.0003 is not an integer: a short last bin
-        ["traject", "--count", "4", "--t-final", "0.05", "--seed", "3",
-         "--window", "0.0003", "--out", "{d}/win"],
-    )
-    SHA256 = {
-        "rates.csv": "b01f644f4f15cd682a6d450029e4bf7d43b7636938377f91c19ce5607693da0a",
-        "sweep.csv": "c7850bca703557bd7dd61b51db3f303d9a633b82a2c1edd5c98afa4716de2dff",
-        "traj_000_events.csv": "f734c4368e70628f71f5b23c26a6949e4651e9c517995c5d4a05c9c4705d574d",
-        "traj_000_staircase.csv": "978e36d19041dc064e0ad42a44b1005c09c625c436ecd0bcc0b77bea70f8e684",
-        "traj_001_events.csv": "f4ed68d1b21eb4acfd1b1486ed42e667a6c256fc58c9b8d80e7a4aa0ed6843c7",
-        "traj_001_staircase.csv": "d460bddabeef53e35b9225ff7da4ecd31faf371d9dc66228807de5aceb87d508",
-        "traj_002_events.csv": "db70b35d5ff38e4f81e12e9d6874b6968aa3c6a940587d7008bbbcc2cbe7b09c",
-        "traj_002_staircase.csv": "06854d9d83a755569446be7544f1f490570404ac36dce9b0f7101cb88dd3bcbf",
-        "traj_003_events.csv": "5029fd63b9b8effafcbc06234bd7bd9b4ffef83f23d4c75f259d44a3a4f0f573",
-        "traj_003_staircase.csv": "057521280ea71ebb94ef874a4900854a40a9b04bf26c7fa0ef06cff6472488c7",
-        "traj_stats.json": "52dac2be210fc4657af7f569de54c27a586ac4ac2763bbb3e6419f6b8a9f602d",
-        "win_000_events.csv": "3ca010431314f0a3c04e5381de904bde770efa19393aea4c644ea79229598ee0",
-        "win_000_staircase.csv": "041dd59315466190aa2c6ec5453ca3f380f9496d6e5de7500346ca79d56be8e9",
-        "win_001_events.csv": "3427ece8e4e046baea87e3e8c0333e4ad8e2ad367c5228818953d067109c307d",
-        "win_001_staircase.csv": "3cc1b11598a71bbff5f506f3b9b54180bff6c767bbfefb8bc9b4fe099220f23b",
-        "win_002_events.csv": "67b4eaf8ef79a277962d0dc8c2aa79888282453b8cf51d62f33c16fdfcf03270",
-        "win_002_staircase.csv": "254b117475b22caa75470c8f941b119b3fd385cdcaaf5c3f85a50e9c16c2e42e",
-        "win_003_events.csv": "d394028b7df61b1485dabd18ed5b6a0bf28dae50ea8b641e6dc4825e91abefa7",
-        "win_003_staircase.csv": "7a86cc62950ef9d779c4c485d35687233cccd11ea18046efd7589b6693595836",
-        "win_stats.json": "59eed64b3ef7e7260db6257b3586d6c2f164ca382a9873546dd038e2f8221272",
-    }
-
-    def run_all(self, config, out):
-        for argv in self.RUNS:
-            args = [a.format(d=out) for a in argv[1:]]
-            assert main([argv[0], "--config", config] + args) == 0
-
-    @staticmethod
-    def digests(out):
-        return {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())
-        }
-
-    def test_files_match_recorded_digests(
-        self, ref_config, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("QND_THREADS", "1")
-        out = tmp_path / "out"
-        out.mkdir()
-        self.run_all(ref_config, out)
-        assert self.digests(out) == self.SHA256
-
-    @staticmethod
-    def file_states(out):
-        return {
-            p.name: (st.st_ino, st.st_mtime_ns, st.st_mode)
-            for p in sorted(out.iterdir())
-            for st in [p.stat()]
-        }
-
-    def test_rerun_leaves_files_untouched(self, ref_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("QND_THREADS", "1")
-        out = tmp_path / "out"
-        out.mkdir()
-        self.run_all(ref_config, out)
-        # a mode the rewrite would not give, to show the file is left alone
-        (out / "rates.csv").chmod(0o600)
-        before = self.file_states(out)
-        replaced = []
-        real_replace = os.replace
-        monkeypatch.setattr(
-            os, "replace", lambda *a: replaced.append(a) or real_replace(*a)
-        )
-        self.run_all(ref_config, out)
-        assert replaced == []
-        assert self.file_states(out) == before
-        assert not list(out.glob(".tmp-*"))
-        assert self.digests(out) == self.SHA256
-
-    def test_changed_config_rewrites_its_files(self, ref_config, tmp_path):
-        out = tmp_path / "out"
-        out.mkdir()
-        self.run_all(ref_config, out)
-        before = self.file_states(out)
-        changed = tmp_path / "changed.json"
-        changed.write_text(json.dumps(dict(REF_KW, nbar_th=0.5)))
-        sweep = [a.format(d=out) for a in self.RUNS[1]]
-        assert main(sweep[:1] + ["--config", str(changed)] + sweep[1:]) == 0
-        after = self.file_states(out)
-        assert after["sweep.csv"][0] != before["sweep.csv"][0]
-        assert "nbar_th=0.5" in (out / "sweep.csv").read_text()
-        del before["sweep.csv"], after["sweep.csv"]
-        assert after == before
-
-
-class TestExactPathBytes:
-    """The exact-arithmetic outputs, pinned by sha256.
-
-    Recorded before the rational statements of the rates were folded into
-    the channel table: the reference verdict (which fails at the default
-    dominance), a detuned point, a point without linear coupling (an
-    infinite linear limit) and the JSON rate table.
-    """
-
-    RUNS = {
-        "feas_ref.json": ({}, ["feasibility"], 2),
-        "feas_detuned.json": (
-            dict(delta_hz=120e6, nbar_th=0.75), ["feasibility", "--n", "2"], 2
-        ),
-        "feas_no_g1.json": (
-            dict(g1_hz=0.0), ["feasibility", "--dominance", "5"], 0
-        ),
-        "rates.json": ({}, ["rates", "--format", "json"], 0),
-    }
-    SHA256 = {
-        "feas_ref.json": (
-            "49d4fdad04475e9c6598d2eb43d3c3cc91e82207d013b46cbb54382764f26a8d"
-        ),
-        "feas_detuned.json": (
-            "ccdda3aa37fe9c12bd59a4d6c8ecd3db6d5c510c79f60fc185278d62c3c031ac"
-        ),
-        "feas_no_g1.json": (
-            "eb420969d1aa95860a7489ddc8778f19b9f0ee4909bd17d887360e74ec1899c3"
-        ),
-        "rates.json": (
-            "ed08447aad7f633bccfaec3fd9411e3c5ac911416c5252eb305a90aad20e2ac1"
-        ),
-    }
-
-    def test_files_match_recorded_digests(self, tmp_path):
-        got = {}
-        for name, (overrides, argv, code) in self.RUNS.items():
-            config = tmp_path / ("cfg_" + name)
-            config.write_text(json.dumps(dict(REF_KW, **overrides)))
-            out = tmp_path / name
-            args = argv + ["--config", str(config), "--out", str(out)]
-            assert main(args) == code, name
-            got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert got == self.SHA256
-
-
-class TestInputPathBytes:
-    """Outputs of the config and flag readers, pinned by sha256.
-
-    Recorded before the readers were merged into one. The runs use
-    relative paths because ``twomode`` and ``coupling`` put their input
-    paths in the manifest. The sweep config holds integers, one of them
-    above 2**53, so the manifest's raw config values are pinned too.
-    """
-
-    TWOMODE = {**TWOMODE_KW, "nbar_1": 100}
-    SWEEP = {
-        "omega_m_hz": 2_000_000_000,
-        "gamma_m_hz": 1000,
-        "kappa_hz": 500_000_000,
-        "delta_hz": 0,
-        "g1_hz": 50_000,
-        "g2_hz": 100_000,
-        "nbar_th": 0.25,
-        "power_w": 2e-8,
-        "omega_d_hz": 2**53 + 1,
-    }
-    RUNS = {
-        "twomode.json": ["twomode", "--config", "twomode_cfg.json",
-                         "--format", "json", "--x-zpf", "1e-15"],
-        "twomode.csv": ["twomode", "--config", "twomode_cfg.json",
-                        "--format", "csv", "--x-grid", "list:0,0.001"],
-        "coupling.json": ["coupling", "--field", "target.csv",
-                          "--others", "partner.csv", "--x-zpf", "1e-15"],
-        "sweep.csv": ["sweep", "--config", "sweep_cfg.json", "--axis", "g2_hz",
-                      "--grid", "log:1e4:1e6:3"],
-    }
-    SHA256 = {
-        "target.csv": (
-            "c189b50b453b6b049d725c10254185f53ed67be2567ef5906969c6062437af2c"
-        ),
-        "twomode.json": (
-            "1edce75d9d79dd7b57ae0b9c3ab9daf11b88897fedd45cc05da00296fbb82763"
-        ),
-        "twomode.csv": (
-            "3a4f8d9d5457eff88dcc8af28665ab38572c2edfa92a4e66b3eb662f0369fd5a"
-        ),
-        "coupling.json": (
-            "920b8b09b13fcb73887d0233fd7a3390b97bf6cf1811c8760599aa26e8c9a309"
-        ),
-        "sweep.csv": (
-            "59a76a8a902338a42e9a7feb779c422b537831e7f0f8f3e8f3d3c643b0dcd8b1"
-        ),
-    }
-
-    def test_files_match_recorded_digests(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        Path("twomode_cfg.json").write_text(json.dumps(self.TWOMODE))
-        Path("sweep_cfg.json").write_text(json.dumps(self.SWEEP))
-        TestCoupling().write_fields(Path("."))
-        for name, argv in self.RUNS.items():
-            assert main(argv + ["--out", name]) == 0, name
-        names = ["target.csv"] + list(self.RUNS)
-        got = {n: hashlib.sha256(Path(n).read_bytes()).hexdigest() for n in names}
-        assert got == self.SHA256
-
-
 FOOTPRINT = """
 import json, sys
 from qndsim import cli, lindblad, trajectories
@@ -916,26 +695,89 @@ class TestImportFootprint:
         assert got["targets"] == [True, True]
 
 
-DETERMINISM = """
-import hashlib, sys
-from pathlib import Path
-from qndsim import cli
+# sha256 of every file the PINNED commands write, and of target.csv, by the
+# test class that checks them; ``python3 tests/test_cli.py`` re-records them
+GOLDEN_CLI = Path(__file__).with_name("golden_cli_artifacts.json")
 
-out, config = Path(sys.argv[1]), sys.argv[2]
-runs = (
-    ["rates", "--out", "rates.csv"],
-    ["feasibility", "--dominance", "5", "--out", "feasibility.json"],
-    ["sweep", "--axis", "g2_hz", "--grid", "log:1e4:1e6:7", "--out", "sweep.csv"],
-    ["traject", "--count", "4", "--t-final", "0.05", "--seed", "3", "--out", "traj"],
+# the configs the pinned commands read, by file name
+CONFIGS = {
+    "ref.json": REF_KW,
+    "detuned.json": dict(REF_KW, delta_hz=120e6, nbar_th=0.75),
+    "no_g1.json": dict(REF_KW, g1_hz=0.0),
+    "sweep_int.json": {
+        "omega_m_hz": 2_000_000_000, "gamma_m_hz": 1000,
+        "kappa_hz": 500_000_000, "delta_hz": 0, "g1_hz": 50_000,
+        "g2_hz": 100_000, "nbar_th": 0.25, "power_w": 2e-8,
+        "omega_d_hz": 2**53 + 1,
+    },
+    "twomode_cfg.json": dict(TWOMODE_KW, nbar_1=100),
+}
+# the field writer's target.csv is pinned; the other inputs are not
+UNPINNED = {*CONFIGS, "partner.csv"}
+
+# the test class that checks its files; argv, run in that class's work
+# directory with relative input paths; the exit code; why its files are pinned
+PINNED = (
+    ("TestArtifactBytes", "rates --config ref.json --out rates.csv", 0,
+     "the rate table at the reference point"),
+    ("TestArtifactBytes", "sweep --config ref.json --axis g2_hz "
+     "--grid log:1e4:1e6:7 --out sweep.csv", 0, "a log grid of verdicts"),
+    ("TestArtifactBytes", "traject --config ref.json --count 4 --t-final 0.05 "
+     "--seed 3 --out traj", 0, "seeded chains: events, staircases and stats"),
+    ("TestArtifactBytes", "traject --config ref.json --count 4 --t-final 0.05 "
+     "--seed 3 --window 0.0003 --out win", 0,
+     "a short last bin: 0.05 / 0.0003 is not an integer"),
+    ("TestExactPathBytes", "rates --config ref.json --format json "
+     "--out rates.json", 0, "the rate table through the JSON writer"),
+    ("TestExactPathBytes", "feasibility --config ref.json --out feas_ref.json",
+     2, "the exit-2 verdict: the reference point fails the default dominance"),
+    ("TestExactPathBytes", "feasibility --config ref.json --dominance 5 "
+     "--out feasibility.json", 0, "the passing verdict at the reference point"),
+    ("TestExactPathBytes", "feasibility --config detuned.json --n 2 "
+     "--out feas_detuned.json", 2, "a detuned point: the two sidebands differ"),
+    ("TestExactPathBytes", "feasibility --config no_g1.json --dominance 5 "
+     "--out feas_no_g1.json", 0, "no g1: an infinite linear limit"),
+    ("TestInputPathBytes", "sweep --config sweep_int.json --axis g2_hz "
+     "--grid log:1e4:1e6:3 --out sweep_int.csv", 0,
+     "integers, one above 2**53, in the manifest"),
+    ("TestInputPathBytes", "twomode --config twomode_cfg.json --format json "
+     "--x-zpf 1e-15 --out twomode.json", 0,
+     "the input path appears in the manifest"),
+    ("TestInputPathBytes", "twomode --config twomode_cfg.json --format csv "
+     "--x-grid list:0,0.001 --out twomode.csv", 0,
+     "the branch sweep, input path in the manifest"),
+    ("TestInputPathBytes", "coupling --field target.csv --others partner.csv "
+     "--x-zpf 1e-15 --out coupling.json", 0,
+     "the field file paths appear in the manifest"),
 )
-for argv in runs:
-    args = [argv[0], "--config", config] + argv[1:-1] + [str(out / argv[-1])]
-    assert cli.main(args) == 0, argv
-digest = hashlib.sha256()
-for path in sorted(out.iterdir()):
-    digest.update(path.name.encode() + b"\\0" + path.read_bytes())
-print(digest.hexdigest())
-"""
+
+
+def run_pinned(work, *classes):
+    """Run the PINNED commands of ``classes`` (default: all) through
+    ``cli.main``, each class in ``work/<class>`` with the inputs its commands
+    read, and return the sha256 of each pinned file, by class and name."""
+    cwd = os.getcwd()
+    digests = {}
+    try:
+        for group in classes or dict.fromkeys(g for g, *_ in PINNED):
+            rows = [(argv, code) for g, argv, code, _why in PINNED if g == group]
+            read = {word for argv, _code in rows for word in argv.split()}
+            here = Path(work, group)
+            here.mkdir(exist_ok=True)
+            os.chdir(here)
+            for name in read & CONFIGS.keys():
+                Path(name).write_text(json.dumps(CONFIGS[name]))
+            if "target.csv" in read:
+                TestCoupling().write_fields(Path("."))
+            for argv, code in rows:
+                assert main(argv.split()) == code, argv
+            digests[group] = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(here.iterdir()) if p.name not in UNPINNED
+            }
+    finally:
+        os.chdir(cwd)
+    return digests
 
 
 def dispatched_cpu_features():
@@ -947,41 +789,121 @@ def dispatched_cpu_features():
     return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
 
 
+ENVIRONMENTS = {
+    "default": {},
+    "no_simd_dispatch": {
+        "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched_cpu_features())
+    },
+    "prescott_blas": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+
+
+def pinned_in_fresh_process(environment, work, *classes):
+    """:func:`run_pinned` in a new interpreter under one of ENVIRONMENTS,
+    with ``QND_THREADS=1`` so that ``meta.threads`` does not follow the host."""
+    tests = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    env.update(ENVIRONMENTS[environment], QND_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, test_cli; "
+         "print(json.dumps(test_cli.run_pinned(*sys.argv[1:])))",
+         str(work), *classes],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def file_states(work, pins):
+    return {(g, n): (st.st_ino, st.st_mtime_ns, st.st_mode)
+            for g, names in pins.items() for n in names
+            for st in [Path(work, g, n).stat()]}
+
+
+class PinnedFiles:
+    """The files of this class's PINNED commands, run in a fresh process
+    under the default environment, against their pins."""
+
+    def test_files_match_recorded_digests(self, tmp_path):
+        group = type(self).__name__
+        pins = json.loads(GOLDEN_CLI.read_text())[group]
+        assert pinned_in_fresh_process("default", tmp_path, group) == {group: pins}
+
+
+class TestArtifactBytes(PinnedFiles):
+    """The rate table, a sweep and seeded trajectories, byte for byte; and
+    a rerun of the whole table leaves its files alone."""
+
+    def test_rerun_leaves_files_untouched(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QND_THREADS", "1")
+        pins = run_pinned(tmp_path)
+        # a mode the rewrite would not give, to show the file is left alone
+        (tmp_path / "TestArtifactBytes" / "rates.csv").chmod(0o600)
+        before = file_states(tmp_path, pins)
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(
+            os, "replace", lambda *a: replaced.append(a) or real_replace(*a)
+        )
+        assert run_pinned(tmp_path) == pins == json.loads(GOLDEN_CLI.read_text())
+        assert replaced == []
+        assert file_states(tmp_path, pins) == before
+        assert not list(tmp_path.glob("*/.tmp-*"))
+
+    def test_changed_config_rewrites_its_files(self, tmp_path, monkeypatch):
+        pins = run_pinned(tmp_path)
+        before = file_states(tmp_path, pins)
+        monkeypatch.chdir(tmp_path / "TestArtifactBytes")
+        Path("changed.json").write_text(json.dumps(dict(REF_KW, nbar_th=0.5)))
+        sweep = next(argv for _g, argv, *_ in PINNED if argv.endswith(" sweep.csv"))
+        assert main(sweep.replace("ref.json", "changed.json").split()) == 0
+        after = file_states(tmp_path, pins)
+        key = ("TestArtifactBytes", "sweep.csv")
+        assert after.pop(key)[0] != before.pop(key)[0]
+        assert "nbar_th=0.5" in Path("sweep.csv").read_text()
+        assert after == before
+
+
+class TestExactPathBytes(PinnedFiles):
+    """The exact-arithmetic outputs: the verdicts and the JSON rate table."""
+
+
+class TestInputPathBytes(PinnedFiles):
+    """The outputs whose manifests record input paths or raw config values."""
+
+
 class TestCrossMachineDeterminism:
-    """The outputs the README promises on every machine do not follow the
-    SIMD target or the BLAS kernel.
+    """The whole table, in a fresh process per environment: numpy's
+    dispatched SIMD targets switched off, and OpenBLAS forced to its oldest
+    x86-64 kernel, against the same pins. ``evolve`` and the quantum-jump
+    unraveling hold per machine only, so they are left out."""
 
-    ``rates``, ``feasibility``, ``sweep`` and ``traject`` run in one fresh
-    process per environment: the defaults, numpy's dispatched SIMD targets
-    switched off, and OpenBLAS forced to its oldest x86-64 kernel. ``evolve``
-    and the quantum-jump unraveling hold per machine only, so they are
-    left out.
-    """
+    def test_outputs_do_not_follow_simd_or_blas(self, tmp_path):
+        pins = json.loads(GOLDEN_CLI.read_text())
+        for environment in ENVIRONMENTS.keys() - {"default"}:
+            work = tmp_path / environment
+            work.mkdir()
+            assert pinned_in_fresh_process(environment, work) == pins, environment
 
-    ENVIRONMENTS = {
-        "default": {},
-        "no_simd_dispatch": {
-            "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched_cpu_features())
-        },
-        "prescott_blas": {"OPENBLAS_CORETYPE": "Prescott"},
-    }
 
-    def test_outputs_do_not_follow_simd_or_blas(self, ref_config, tmp_path):
-        src = Path(__file__).resolve().parents[1] / "src"
-        digests = {}
-        for name, extra in self.ENVIRONMENTS.items():
-            env = {
-                k: v for k, v in os.environ.items()
-                if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
-            }
-            env.update(extra, PYTHONPATH=str(src), QND_THREADS="1")
-            out = tmp_path / name
-            out.mkdir()
-            proc = subprocess.run(
-                [sys.executable, "-c", DETERMINISM, str(out), ref_config],
-                env=env, cwd=tmp_path, capture_output=True, text=True,
-                timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            digests[name] = proc.stdout.split()[-1]
-        assert len(set(digests.values())) == 1, digests
+def record_golden_cli_artifacts():
+    """Rewrite GOLDEN_CLI from fresh runs under every environment; refuse,
+    naming the files, when the environments disagree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for environment in ENVIRONMENTS:
+            work = Path(tmp, environment)
+            work.mkdir()
+            runs.append(pinned_in_fresh_process(environment, work))
+    files = sorted({(g, n) for run in runs for g in run for n in run[g]})
+    differ = [n for g, n in files
+              if len({run.get(g, {}).get(n) for run in runs}) > 1]
+    if differ:
+        sys.exit("not recorded, the environments disagree on: " + ", ".join(differ))
+    GOLDEN_CLI.write_text(json.dumps(runs[0], indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    record_golden_cli_artifacts()

@@ -348,7 +348,7 @@ class TestEvolve:
 
     def test_trace_is_reported_not_repaired(self, ref_params):
         gen = reduced_generator(ref_params, 8)
-        res = evolve(gen, fock_state(8, 0), 1e-3, grid=11, rtol=1e-6)
+        res = evolve(gen, fock_state(8, 0), 1e-3, grid=11)
         assert np.all(res.trace_errors >= 0.0)
         assert res.max_trace_error < 1e-4
 

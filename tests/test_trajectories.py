@@ -696,6 +696,21 @@ class TestQuantumJump:
             with pytest.raises(ValueError, match="phonon levels"):
                 ensemble(gen, bad, 20.0, 1, seed_base=3)
 
+    def test_inferred_phonon_change_is_an_optical_event(self):
+        # no thermal bath, so the thermal_up channel has weight 0: a phonon
+        # gained from |0>|0> came with a cavity decay, a sideband event
+        p = make_ref(
+            omega_m_hz=10.0 / TWO_PI, kappa_hz=1.0 / TWO_PI,
+            gamma_m_hz=5e-4 / TWO_PI, g1_hz=0.22389 / TWO_PI,
+            g2_hz=0.283 / TWO_PI, nbar_th=0.0, nbar_photon=1.0,
+        )
+        gen = bipartite_generator(p, 2, 4)
+        psi0 = np.eye(8, dtype=complex)[0]
+        for seed in (3, 8):
+            traj = simulate_quantum_jump(gen, psi0, 200.0, seed=seed)
+            assert [CHANNELS[c] for c in traj.channels] == ["opt_up1"]
+            traj.validate()
+
     def test_exceptional_point_drift_raises(self):
         # H = sigma_x with decay w = 4 from |1>: the drift -i H_eff has one
         # double eigenvalue and a single eigenvector, so no eigendecomposition

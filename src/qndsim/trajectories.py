@@ -6,7 +6,8 @@ unraveling of a Lindblad generator that serves as an independent oracle
 (its rates come from operator matrix elements, not the analytic
 combinatorial formulas).
 
-The unraveling reads each channel's label once (see simulate_quantum_jump).
+The unraveling runs only number-diagonal generators with labelled channels,
+so its record is exact (see simulate_quantum_jump).
 Truncation is never silent: a trajectory that reaches ``n_cap``, from
 either sampler, raises TruncationError with its seed, state and cap.
 
@@ -37,9 +38,9 @@ from .system import SystemParams
 
 # CHANNEL_DELTAS gives the phonon-number change of each of CHANNELS.
 _DELTAS = np.array(CHANNEL_DELTAS)
-_CHANNEL_INDEX = {name: i for i, name in enumerate(CHANNELS)}
-# an inferred change is an optical sideband event: thermal jumps are labelled
-_DELTA_TO_CHANNEL = {1: 2, -1: 3, 2: 4, -2: 5}
+# label -> (the CHANNELS index it records, -1 for none; its operator's n change)
+_LABELS = {name: (i, dn) for i, (name, dn) in enumerate(zip(CHANNELS, CHANNEL_DELTAS))}
+_LABELS["dephasing"] = (-1, 0)
 
 
 class TruncationError(RuntimeError):
@@ -207,16 +208,6 @@ def simulate_jump_trajectory(
     )
 
 
-def _mech_mean_n(psi: np.ndarray, subsystem_dims) -> float:
-    if subsystem_dims is None:
-        w = np.abs(psi) ** 2
-        return float(np.dot(np.arange(len(psi)), w) / w.sum())
-    dc, dm = subsystem_dims
-    w = np.abs(psi.reshape(dc, dm)) ** 2
-    pops = w.sum(axis=0)
-    return float(np.dot(np.arange(dm), pops) / pops.sum())
-
-
 def simulate_quantum_jump(
     gen: LindbladGenerator,
     psi0,
@@ -224,21 +215,20 @@ def simulate_quantum_jump(
     seed: int,
     snapshot_times=None,
 ) -> Trajectory:
-    """Monte Carlo wave-function unraveling of a Lindblad generator.
+    """Monte Carlo wave-function unraveling of a number-diagonal generator.
 
     Between jumps the state drifts under the non-Hermitian effective
     Hamiltonian; a jump fires when the squared norm crosses a uniform
     threshold, with the crossing located to machine precision; the channel
-    is drawn proportionally to w_k |o_k psi|^2. A channel labelled with a
-    CHANNELS name records that event; ``"dephasing"`` records a null jump;
-    any other label, or none, records the optical sideband event
-    (``opt_up1``/``opt_down1`` for a change of +-1, ``opt_up2``/``opt_down2``
-    for +-2) whose phonon-number change is the jump's change in rounded
-    mean n, or a null jump if none is.
-    Null jumps are tallied in ``null_jumps``, not the event arrays.
-    Snapshots, when requested, are normalized states on the given time grid
-    (seconds). A drift that no eigendecomposition reproduces to 1e-10
-    raises ValueError.
+    is drawn proportionally to w_k |o_k psi|^2. The record names the
+    operator that fired, so before any draw ValueError refuses a
+    non-diagonal Hamiltonian and any channel of positive weight not labelled
+    with a CHANNELS name (its operator on that channel's n -> n + delta
+    diagonal) or ``"dephasing"`` (its operator diagonal, a null jump).
+    Null jumps are tallied in ``null_jumps``, not the event arrays. From a
+    superposition ``psi0`` the first CHANNELS jump raises ValueError, as no
+    phonon number precedes it. Snapshots, when requested, are normalized
+    states on the given time grid (seconds).
     """
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("t_final must be positive and finite")
@@ -252,26 +242,30 @@ def simulate_quantum_jump(
         raise ValueError("state vector must be nonzero")
     psi = psi / nrm
 
-    # what each channel records: a CHANNELS index, -1 for a null jump, or
-    # None to infer the channel from the change in rounded mean n
+    h = gen.hamiltonian
+    if np.count_nonzero(h - np.diag(np.diag(h))):
+        raise ValueError("hamiltonian is not diagonal in the number basis")
+    # an operator on one diagonal has a diagonal o†o, so the drift is diagonal
     labels = gen.labels or (None,) * len(gen.channels)
     ops = []
     records = []
-    for (op, w), label in zip(gen.channels, labels):
-        if w > 0:
-            ops.append((op, w))
-            records.append(-1 if label == "dephasing" else _CHANNEL_INDEX.get(label))
+    for k, ((op, w), label) in enumerate(zip(gen.channels, labels)):
+        if not w > 0:
+            continue
+        if label not in _LABELS:
+            raise ValueError("channel %d has label %r, neither a CHANNELS name "
+                             "nor 'dephasing'" % (k, label))
+        ch, dn = _LABELS[label]
+        if np.count_nonzero(op - np.diag(np.diag(op, -dn), -dn)):
+            raise ValueError("channel %d (%s) has entries off its n -> n%+d "
+                             "diagonal" % (k, label, dn))
+        ops.append((op, w))
+        records.append(ch)
 
-    h_eff = np.array(gen.hamiltonian, dtype=complex)
+    h_eff = np.array(h, dtype=complex)
     for op, w in ops:
         h_eff = h_eff - 0.5j * w * (op.conj().T @ op)
-    a_gen = -1j * h_eff / ts  # dimensionless-time drift generator
-    diag_a = np.diag(a_gen).copy()
-    offdiag = float(np.max(np.abs(a_gen - np.diag(diag_a))))
-    if offdiag <= 1e-14 * max(float(np.max(np.abs(a_gen))), 1.0):
-        drift = _DiagonalDrift(diag_a)
-    else:
-        drift = _GeneralDrift(a_gen)
+    drift = _DiagonalDrift(np.diag(-1j * h_eff / ts))  # in dimensionless time
 
     rng = make_rng(seed)
     tau_final = t_final * ts
@@ -285,7 +279,8 @@ def simulate_quantum_jump(
         snap_taus = snap_times * ts
         snaps_out = np.empty((len(snap_taus), dim), dtype=complex)
 
-    initial_n = int(round(_mech_mean_n(psi, gen.subsystem_dims)))
+    number_start = np.count_nonzero(psi) == 1
+    initial_n = int(np.argmax(np.abs(psi)))
     ev_times: list[float] = []
     ev_ns: list[int] = []
     ev_chs: list[int] = []
@@ -339,11 +334,11 @@ def simulate_quantum_jump(
         post = post / np.linalg.norm(post)
         tau += delta
         ch = records[k_sel]
-        if ch is None:
-            dn = int(round(_mech_mean_n(post, gen.subsystem_dims))) - prev_n
-            ch = _DELTA_TO_CHANNEL.get(dn, -1)
         if ch < 0:
             null_jumps += 1
+        elif not number_start:
+            raise ValueError("%s jump at t = %.6g s (seed %d) from a superposition "
+                             "start" % (CHANNELS[ch], tau / ts, seed))
         else:
             prev_n += CHANNEL_DELTAS[ch]
             ev_times.append(tau / ts)
@@ -404,40 +399,6 @@ class _DiagonalDrift:
             if decay[i] >= 0.0:
                 return None
             return math.log(r / w2[i]) / decay[i]
-        return _root(norm2, r, delta_max)
-
-
-class _GeneralDrift:
-    """Drift of a non-diagonal generator, through its eigendecomposition.
-
-    Raises ValueError when the decomposition does not reproduce the
-    generator to 1e-10 of its scale, as at an exceptional point.
-    """
-
-    def __init__(self, a_gen: np.ndarray):
-        lam, vec = np.linalg.eig(a_gen)
-        vinv = np.linalg.inv(vec)
-        resid = float(np.max(np.abs(vec @ np.diag(lam) @ vinv - a_gen)))
-        scale = max(1.0, float(np.max(np.abs(a_gen))))
-        if not resid <= 1e-10 * scale:
-            raise ValueError(
-                "drift generator is not diagonalizable: eigendecomposition "
-                "residual %.3g exceeds 1e-10 of its scale %.6g" % (resid, scale)
-            )
-        self.lam, self.vec, self.vinv = lam, vec, vinv
-
-    def apply(self, phi: np.ndarray, d_tau: float) -> np.ndarray:
-        return self.vec @ (np.exp(self.lam * d_tau) * (self.vinv @ phi))
-
-    def crossing(self, psi: np.ndarray, r: float, delta_max: float):
-        """Dimensionless time at which |psi(delta)|^2 falls to r, or None."""
-
-        def norm2(d):
-            phi = self.apply(psi, d)
-            return float(np.vdot(phi, phi).real)
-
-        if norm2(delta_max) >= r:
-            return None
         return _root(norm2, r, delta_max)
 
 
@@ -543,11 +504,11 @@ def ensemble(
     """Run ``count`` trajectories seeded seed_base + i and reduce them.
 
     ``source`` selects the sampler: SystemParams runs the jump chain,
-    LindbladGenerator runs the quantum-jump unraveling from |n0>, or from
-    |0>_c (x) |n0>_m for a bipartite generator. The reduction is performed
-    in trajectory-index order regardless of worker scheduling, so results
-    are independent of the thread count. A member that reaches ``n_cap``
-    (for the unraveling, by default the phonon levels) raises
+    LindbladGenerator runs the quantum-jump unraveling from |n0>. The
+    reduction is performed in trajectory-index order regardless of worker
+    scheduling, so results are independent of the thread count. A member
+    that reaches ``n_cap`` (for the unraveling, by default the generator's
+    dimension) raises
     TruncationError; ``n0`` at or above ``n_cap`` is refused with
     ValueError before any chain runs. With ``return_trajectories`` the result is
     (stats, list_of_trajectories).
@@ -567,12 +528,9 @@ def ensemble(
             "measurement_to_thermal": cooperativities(source).q2,
         }
     elif isinstance(source, LindbladGenerator):
-        dims = source.subsystem_dims
-        levels = source.dim if dims is None else dims[1]
-        cap = levels if n_cap is None else int(n_cap)
-        if not 0 <= n0 < levels:
-            raise ValueError("n0 must lie in 0..%d (phonon levels)" % (levels - 1))
-        # cavity factor first: |0>_c (x) |n0>_m sits at product index n0
+        cap = source.dim if n_cap is None else int(n_cap)
+        if not 0 <= n0 < source.dim:
+            raise ValueError("n0 must lie in 0..%d" % (source.dim - 1))
         psi0 = np.zeros(source.dim, dtype=complex)
         psi0[n0] = 1.0
 

@@ -317,6 +317,17 @@ class TestSymmetryClassifier:
         )
         assert classify_symmetry(mode, pert) is SymmetryClass.LINEAR_DOMINANT
 
+    def test_grid_off_symmetry_by_1e_9_of_span_is_indeterminate(self):
+        # the grid tolerance is 1e-12 of the span: moving the last point
+        # by 1e-9 of it breaks the symmetry the verdict rests on
+        g = symmetric_slab(101)
+        g[-1] += 1e-9 * (g[-1] - g[0])
+        mode = ModeField(grid=g, field=np.cos(0.5 * math.pi * g), frequency=1.0)
+        pert = PermittivityPerturbation(
+            epsilon=np.ones_like(g), depsilon_dx=np.full(g.shape, 0.1)
+        )
+        assert classify_symmetry(mode, pert) is SymmetryClass.INDETERMINATE
+
     def test_odd_perturbation_with_coupling_partner(self):
         g = symmetric_slab(801)
         mode = ModeField(grid=g, field=np.cos(0.5 * math.pi * g), frequency=1.0)

@@ -3,14 +3,12 @@
 import json
 import math
 import os
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qndsim import trajectories
-from qndsim.constants import TWO_PI
 from qndsim.fock import ladder
 from qndsim.lindblad import (
     LindbladGenerator,
@@ -37,6 +35,13 @@ from qndsim.trajectories import (
 from conftest import make_ref
 
 GOLDEN_QJ = Path(__file__).with_name("golden_quantum_jump.json")
+
+
+# acceptance criterion 4's two-phonon sideband point
+SIDEBAND = make_ref(
+    omega_m_hz=800.0, kappa_hz=400.0, delta_hz=1600.0, g1_hz=280.0,
+    g2_hz=150.0, gamma_m_hz=200.0, nbar_th=0.005, nbar_photon=1.0,
+)
 
 
 def decay_only_params(gamma_m_hz=1e3):
@@ -579,9 +584,11 @@ class TestQuantumJump:
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.channels, b.channels)
 
-    def test_dephasing_jumps_produce_no_events(self):
+    def test_dephasing_jumps_produce_no_events(self, monkeypatch):
         # only the number channel: jumps happen (null counter) but the
-        # event record stays empty for a superposition input
+        # event record stays empty for a superposition input. Its first
+        # crossing has no closed form, so it is a brentq root; that jump
+        # leaves |1>, whose later crossings have closed forms
         _, _, n_op = ladder(2)
         gen = LindbladGenerator(
             hamiltonian=np.zeros((2, 2)),
@@ -589,10 +596,26 @@ class TestQuantumJump:
             time_scale=1.0,
             labels=("dephasing",),
         )
+        solves = []
+        real_brentq = trajectories.brentq
+        monkeypatch.setattr(
+            trajectories, "brentq",
+            lambda *a, **k: solves.append(1) or real_brentq(*a, **k),
+        )
         psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         traj = simulate_quantum_jump(gen, psi0, 5.0, seed=12)
         assert traj.n_events == 0
         assert traj.null_jumps >= 1
+        assert len(solves) == 1
+
+    def test_zero_decay_start_runs_to_t_final(self):
+        # |0> without a bath or photons: no channel acts, the norm never
+        # falls, and the state is unchanged at t_final
+        gen = reduced_generator(decay_only_params(), 4)
+        psi0 = np.eye(4, dtype=complex)[0]
+        traj = simulate_quantum_jump(gen, psi0, 1.0, seed=3, snapshot_times=[1.0])
+        assert traj.n_events == 0 and traj.null_jumps == 0
+        assert traj.snapshots[0].tolist() == psi0.tolist()
 
     def test_dephasing_ensemble_matches_master_equation(self):
         # ensemble-averaged density matrix under pure dephasing versus
@@ -668,64 +691,62 @@ class TestQuantumJump:
         assert stats.meta["sampler"] == "quantum_jump"
         assert stats.histogram.sum() == pytest.approx(1.0)
         assert stats.histogram[0] > 0.5
+        for bad in (-1, 16):
+            with pytest.raises(ValueError, match=r"n0 must lie in 0\.\.15"):
+                ensemble(gen, bad, 0.01, 1, seed_base=51)
 
-    def test_ensemble_bipartite_source_starts_in_cavity_vacuum(self, monkeypatch):
-        # compressed units (kappa = 1 rad/s): the coupling makes the drift
-        # non-diagonal, so every jump time comes from a brentq crossing
-        p = make_ref(
-            omega_m_hz=10.0 / TWO_PI, kappa_hz=1.0 / TWO_PI,
-            gamma_m_hz=5e-4 / TWO_PI, g1_hz=0.22389 / TWO_PI,
-            g2_hz=0.283 / TWO_PI, nbar_th=0.2, nbar_photon=1.0,
-        )
-        gen = bipartite_generator(p, 2, 4)
-        solves = []
-        real_brentq = trajectories.brentq
-        monkeypatch.setattr(
-            trajectories, "brentq",
-            lambda *a, **k: solves.append(1) or real_brentq(*a, **k),
-        )
-        stats, trajs = ensemble(gen, 3, 20.0, 2, seed_base=3,
-                                return_trajectories=True)
-        assert [t.initial_n for t in trajs] == [3, 3]
-        assert stats.meta["n0"] == 3 and stats.meta["n_cap"] == 4
-        assert stats.counts.shape == (4, 6)
-        assert stats.time_in_state[3] == stats.t_total
-        # cavity decays leave the phonon number alone
-        assert stats.null_jumps > 0 and len(solves) >= stats.null_jumps
-        for bad in (-1, 4, 7):  # 4..7 are product indices with a photon
-            with pytest.raises(ValueError, match="phonon levels"):
-                ensemble(gen, bad, 20.0, 1, seed_base=3)
-
-    def test_inferred_phonon_change_is_an_optical_event(self):
-        # no thermal bath, so the thermal_up channel has weight 0: a phonon
-        # gained from |0>|0> came with a cavity decay, a sideband event
-        p = make_ref(
-            omega_m_hz=10.0 / TWO_PI, kappa_hz=1.0 / TWO_PI,
-            gamma_m_hz=5e-4 / TWO_PI, g1_hz=0.22389 / TWO_PI,
-            g2_hz=0.283 / TWO_PI, nbar_th=0.0, nbar_photon=1.0,
-        )
-        gen = bipartite_generator(p, 2, 4)
-        psi0 = np.eye(8, dtype=complex)[0]
-        for seed in (3, 8):
-            traj = simulate_quantum_jump(gen, psi0, 200.0, seed=seed)
-            assert [CHANNELS[c] for c in traj.channels] == ["opt_up1"]
-            traj.validate()
-
-    def test_exceptional_point_drift_raises(self):
-        # H = sigma_x with decay w = 4 from |1>: the drift -i H_eff has one
-        # double eigenvalue and a single eigenvector, so no eigendecomposition
-        # reproduces it and the sampler refuses to run
-        decay = np.diag([0.0, 1.0])
+    def test_non_diagonal_hamiltonian_is_refused(self):
+        # the bipartite coupling: a cavity decay changes no phonon number
+        # of its own, so no record could name the event
+        gen = bipartite_generator(make_ref(), 2, 4)
+        with pytest.raises(ValueError, match="not diagonal"):
+            simulate_quantum_jump(gen, np.eye(8)[0], 1e-6, seed=1)
+        with pytest.raises(ValueError, match="not diagonal"):
+            ensemble(gen, 0, 1e-6, 2, seed_base=1)
+        # H = sigma_x with decay from |1>, an exceptional point of the drift
         gen = LindbladGenerator(
             hamiltonian=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            channels=[(decay, 4.0)],
+            channels=[(np.diag([0.0, 1.0]), 4.0)],
+            time_scale=1.0,
+            labels=("dephasing",),
+        )
+        with pytest.raises(ValueError, match="not diagonal"):
+            simulate_quantum_jump(gen, np.array([1.0, 0.0]), 1.0, seed=1)
+
+    def test_unlabelled_channel_is_refused(self):
+        # a zero-weight channel never fires, so only channel 1 is checked
+        b, _, n_op = ladder(3)
+        gen = LindbladGenerator(
+            hamiltonian=np.zeros((3, 3)),
+            channels=[(n_op, 0.0), (b, 1.0)],
             time_scale=1.0,
         )
-        with pytest.raises(ValueError) as err:
-            simulate_quantum_jump(gen, np.array([1.0, 0.0]), 1.0, seed=1)
-        resid = float(re.search(r"residual (\S+)", str(err.value)).group(1))
-        assert 1e-10 < resid < 1e-6
-        assert "exceeds 1e-10" in str(err.value)
+        with pytest.raises(ValueError, match="channel 1 has label None"):
+            simulate_quantum_jump(gen, np.eye(3)[1], 1.0, seed=1)
+
+    def test_operator_off_its_label_diagonal_is_refused(self):
+        _, bdag, _ = ladder(3)
+        gen = LindbladGenerator(
+            hamiltonian=np.zeros((3, 3)),
+            channels=[(bdag, 1.0)],
+            time_scale=1.0,
+            labels=("thermal_down",),
+        )
+        with pytest.raises(
+            ValueError, match=r"channel 0 \(thermal_down\) .* n -> n-1 diagonal"
+        ):
+            simulate_quantum_jump(gen, np.eye(3)[1], 1.0, seed=1)
+
+    def test_superposition_start_refuses_a_phonon_jump(self):
+        # no phonon number precedes the first thermal_down jump from
+        # (|0> + |1>)/sqrt(2), so the run cannot record it
+        gen = reduced_generator(SIDEBAND, 12)
+        psi0 = np.zeros(12, dtype=complex)
+        psi0[:2] = 1.0 / math.sqrt(2.0)
+        with pytest.raises(
+            ValueError, match=r"thermal_down jump at t = \S+ s \(seed 7\)"
+        ):
+            simulate_quantum_jump(gen, psi0, 0.1, seed=7)
 
     def test_rejects_bad_state_vectors(self, ref_params):
         gen = reduced_generator(ref_params, 8)
@@ -745,12 +766,11 @@ class TestQuantumJump:
 @pytest.mark.parametrize("run", json.loads(GOLDEN_QJ.read_text()),
                          ids=lambda run: run["name"])
 def test_golden_quantum_jump(run):
-    # A single-support chain (closed-form crossings), a superposition (root
-    # solves on a diagonal drift) and a bipartite chain (general drift).
+    # A chain from a number state, so every crossing has its closed form.
     # Times are compared to 1e-9, not bit for bit: the crossing arithmetic
     # goes through numpy loops whose rounding follows the CPU's SIMD target.
-    build = {"reduced": reduced_generator, "bipartite": bipartite_generator}
-    gen = build[run["generator"]](make_ref(**run["config"]), *run["dims"])
+    assert run["generator"] == "reduced"
+    gen = reduced_generator(make_ref(**run["config"]), *run["dims"])
     traj = simulate_quantum_jump(
         gen, np.array(run["psi0"], dtype=complex), run["t_final"], run["seed"]
     )

@@ -8,7 +8,6 @@ import pytest
 from qndsim.constants import TWO_PI
 from qndsim.fock import ladder
 from qndsim.twomode import (
-    REGIME_DOMINANCE,
     TwoModeParams,
     backscatter_occupancy,
     mim_effective_g2,
@@ -314,11 +313,15 @@ class TestSingleModeMapping:
         assert m.measurement_factor == 0.5
 
     def test_boundaries_belong_to_their_limits(self):
-        assert single_mode_mapping(0.05, 1.0, 0.0, 1.0).regime == "weak"
-        assert (
-            single_mode_mapping(REGIME_DOMINANCE / 2.0, 1.0, 0.0, 1.0).regime
-            == "strong"
-        )
+        # literal values of 2 nu / kappa: 0.1 and 10 are the limits of a
+        # dominance factor of 10, and 0.105 and 9.5 lie just inside them
+        regimes = {
+            nu: single_mode_mapping(nu, 1.0, 0.0, 1.0).regime
+            for nu in (0.05, 0.0525, 4.75, 5.0)
+        }
+        assert regimes == {
+            0.05: "weak", 0.0525: "unclassified", 4.75: "unclassified", 5.0: "strong"
+        }
 
     def test_unclassified_carries_both_candidates(self):
         m = single_mode_mapping(nu=0.5, kappa=1.0, delta=0.0, N1=10.0)

@@ -2,7 +2,8 @@
 
 ``find`` compiles _jump.c on first use with the first C compiler on PATH
 into a library beside the source, named by a hash of the source and the
-flags, so a stale build never loads. The C code indexes the rate table
+flags, so a stale build never loads; a new build deletes the builds of
+other hashes beside it. The C code indexes the rate table
 without bounds checks, so ``run`` checks the table's dtype, layout and
 shape and the initial state before every call. Uniforms are drawn in
 chunks and handed to C; the generator belongs to one chain, so drawing
@@ -129,6 +130,9 @@ def find(source: Path = SOURCE):
             if compiler is None:
                 return None
             _compile(compiler, source, lib)
+            for old in lib.parent.glob(source.stem + "-" + "?" * 12 + ".so"):
+                if old != lib:
+                    old.unlink(missing_ok=True)
         return Kernel(lib)
     except (OSError, AttributeError, subprocess.CalledProcessError) as exc:
         error = getattr(exc, "stderr", None) or str(exc) or type(exc).__name__

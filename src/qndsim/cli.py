@@ -159,10 +159,10 @@ def cmd_feasibility(args) -> int:
     return 0 if report.ok else 2
 
 
-# Largest dimension evolve picks without --dim. evolve keeps every grid
-# state, 16 * grid * d^2 bytes, and its diagnostics copy that stack: about
-# 3.5 copies at peak, 56 * grid * d^2 bytes. One copy at d = 1024 and the
-# default grid of 201 is 3.4 GB, so this bound does not bound the memory.
+# Largest dimension evolve picks without --dim. evolve reduces its grid
+# states 16 at a time, so its memory grows with d^2, not with the grid:
+# about 1.7 KB * d^2 of RSS (24 MB at d = 120, 64 MB at d = 200), which is
+# 1.8 GB at this bound.
 MAX_PICKED_DIM = 1024
 
 
@@ -171,7 +171,8 @@ def _picked_dim(dim: int) -> int:
     if dim > MAX_PICKED_DIM:
         raise ValueError(
             "initial state would need dimension %d, more than the %d picked "
-            "without --dim; pass --dim to choose the size" % (dim, MAX_PICKED_DIM)
+            "without --dim (about 1.8 GB of memory for evolve); pass --dim to "
+            "choose the size" % (dim, MAX_PICKED_DIM)
         )
     return dim
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -292,11 +293,46 @@ def bipartite_generator(
     )
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call."""
+def solve_ivp(fun, t_eval, y0, reduce):
+    """DOP853 from ``t_eval[0]`` to ``t_eval[-1]``, the states at ``t_eval``
+    handed to ``reduce`` in order, at most 16 at a time.
+
+    Steps ``scipy.integrate.DOP853`` (rtol 1e-8, atol 1e-12) as
+    ``solve_ivp(..., t_eval=t_eval)`` does and evaluates each step's dense
+    output at the grid points it covers, so the states carry the same bits.
+    They are written into one reused (16, len(y0)) buffer, which goes to
+    ``reduce`` each time it fills and once more, partly filled, at the end;
+    ``reduce`` must copy what it keeps. Returns ``success``, the failed
+    step's ``message`` and ``nfev``, the right-hand-side call count. It
+    keeps scipy's name because qndbench's tracer wraps
+    ``lindblad.solve_ivp`` and reads ``nfev`` from its result.
+    """
     from scipy import integrate
 
-    return integrate.solve_ivp(*args, **kwargs)
+    solver = integrate.DOP853(fun, float(t_eval[0]), y0, float(t_eval[-1]),
+                              rtol=1e-8, atol=1e-12)
+    block = np.empty((16, solver.n), dtype=solver.y.dtype)
+    filled = done = 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            break
+        covered = int(np.searchsorted(t_eval, solver.t, side="right"))
+        # DOP853's dense output costs three more right-hand-side calls, so
+        # only a step that covers a grid point builds it, as in solve_ivp
+        if covered > done:
+            sol = solver.dense_output()
+        while covered > done:
+            take = min(covered - done, 16 - filled)
+            block[filled:filled + take] = sol(t_eval[done:done + take]).T
+            filled, done = filled + take, done + take
+            if filled == 16:
+                reduce(block)
+                filled = 0
+    if filled:
+        reduce(block[:filled])
+    return SimpleNamespace(success=solver.status == "finished",
+                           message=message, nfev=solver.nfev)
 
 
 def evolve(
@@ -311,26 +347,39 @@ def evolve(
     Adaptive DOP853 stepping with relative tolerance 1e-8 and absolute
     tolerance 1e-12; no trace renormalization is applied, trace drift
     shows up in the diagnostics. Raises on integrator stall, naming the
-    stiffness ratio.
+    stiffness ratio. The grid states are reduced to populations and
+    diagnostics 16 at a time and dropped, so memory does not grow with
+    ``grid`` beyond the result rows, unless ``store_states`` keeps a copy
+    of every state.
     """
     if not (t_final > 0 and math.isfinite(t_final)):
         raise ValueError("t_final must be positive and finite")
     if grid < 2:
         raise ValueError("need at least two grid points")
     r0 = rho0.entries if isinstance(rho0, DensityMatrix) else np.asarray(rho0, complex)
-    if r0.shape != (gen.dim, gen.dim):
+    d = gen.dim
+    if r0.shape != (d, d):
         raise ValueError("initial state has wrong dimension")
     ts = gen.time_scale
     sup = gen.superoperator() / ts
     tau_grid = np.linspace(0.0, t_final * ts, grid)
+    parts = []
+    snapshots = [] if store_states else None
+
+    def reduce(block):
+        rhos = block.reshape(-1, d, d)
+        adj = rhos.conj().transpose(0, 2, 1)
+        parts.append((
+            gen.mech_populations(rhos),
+            np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0),
+            np.max(np.abs(rhos - adj), axis=(1, 2)),
+            np.linalg.eigvalsh((rhos + adj) / 2.0)[:, 0],
+        ))
+        if store_states:
+            snapshots.extend(rhos.copy())
+
     sol = solve_ivp(
-        lambda _tau, y: sup @ y,
-        (0.0, t_final * ts),
-        r0.reshape(-1).astype(complex),
-        method="DOP853",
-        t_eval=tau_grid,
-        rtol=1e-8,
-        atol=1e-12,
+        lambda _tau, y: sup @ y, tau_grid, r0.reshape(-1).astype(complex), reduce
     )
     if not sol.success:
         w_max = max((w for _, w in gen.channels), default=0.0)
@@ -338,15 +387,9 @@ def evolve(
             "integration stalled; stiffness ratio (max channel weight x "
             "t_final) = %.3g: %s" % (w_max * t_final, sol.message)
         )
-    rhos = sol.y.T.reshape(-1, gen.dim, gen.dim)
-    adj = rhos.conj().transpose(0, 2, 1)
+    # parts hold the result columns after times, in the fields' order
     return EvolutionResult(
-        times=sol.t / ts,
-        populations=gen.mech_populations(rhos),
-        trace_errors=np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0),
-        hermiticity_errors=np.max(np.abs(rhos - adj), axis=(1, 2)),
-        min_eigenvalues=np.linalg.eigvalsh((rhos + adj) / 2.0)[:, 0],
-        snapshots=list(rhos) if store_states else None,
+        tau_grid / ts, *map(np.concatenate, zip(*parts)), snapshots=snapshots
     )
 
 

@@ -317,6 +317,20 @@ class TestSymmetryClassifier:
         )
         assert classify_symmetry(mode, pert) is SymmetryClass.LINEAR_DOMINANT
 
+    @pytest.mark.parametrize("eps, verdict", [
+        (1e-7, SymmetryClass.LINEAR_DOMINANT),
+        (1e-9, SymmetryClass.INDETERMINATE),
+    ])
+    def test_linear_threshold_is_1e_8_of_frequency_over_span(self, eps, verdict):
+        # the odd part of de/dx pulls nothing, so |g1| = eps / 2 against
+        # the threshold 1e-8 * frequency / span = 5e-9: 10x and 0.1x of it
+        g = symmetric_slab(101)
+        mode = ModeField(grid=g, field=np.cos(0.5 * math.pi * g), frequency=1.0)
+        pert = PermittivityPerturbation(
+            epsilon=np.ones_like(g), depsilon_dx=g + eps
+        )
+        assert classify_symmetry(mode, pert) is verdict
+
     def test_grid_off_symmetry_by_1e_9_of_span_is_indeterminate(self):
         # the grid tolerance is 1e-12 of the span: moving the last point
         # by 1e-9 of it breaks the symmetry the verdict rests on

@@ -146,7 +146,10 @@ class TestLoader:
         source.write_text(source.read_text() + "/* edited */\n")
         assert _ckernel._library(source) != old
         assert _ckernel.find(source) is not None
-        assert _ckernel._library(source).exists()
+        # the new build is the only one left: the old library is gone
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "_jump.c", _ckernel._library(source).name,
+        }
 
     def test_failing_compiler_warns(self, tmp_path, monkeypatch):
         source = self.copy_source(tmp_path)

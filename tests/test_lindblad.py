@@ -1,9 +1,11 @@
 """Master-equation generators, integration, and rate extraction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from qndsim.cavity import susceptibility
 from qndsim.constants import TWO_PI
@@ -390,6 +392,81 @@ class TestEvolve:
         assert set(d) == {"times_s", "populations", "diagnostics"}
         assert len(d["times_s"]) == 5
         assert len(d["populations"][0]) == 4
+
+
+def whole_grid_evolve(gen, rho0, t_final, grid=201):
+    """``evolve`` as one ``solve_ivp(t_eval=...)`` call whose stack of
+    every grid state is reduced at once: times, populations, trace,
+    Hermiticity and eigenvalue columns, and the states."""
+    ts = gen.time_scale
+    sup = gen.superoperator() / ts
+    sol = integrate.solve_ivp(
+        lambda _tau, y: sup @ y, (0.0, t_final * ts),
+        rho0.entries.reshape(-1).astype(complex), method="DOP853",
+        t_eval=np.linspace(0.0, t_final * ts, grid), rtol=1e-8, atol=1e-12,
+    )
+    rhos = sol.y.T.reshape(-1, gen.dim, gen.dim)
+    adj = rhos.conj().transpose(0, 2, 1)
+    return (
+        sol.t / ts,
+        gen.mech_populations(rhos),
+        np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0),
+        np.max(np.abs(rhos - adj), axis=(1, 2)),
+        np.linalg.eigvalsh((rhos + adj) / 2.0)[:, 0],
+        list(rhos),
+    )
+
+
+# criterion 5's compressed units, kappa = 1 rad/s, as in master_equation
+BIPARTITE = dict(
+    omega_m_hz=10.0 / TWO_PI, kappa_hz=1.0 / TWO_PI, gamma_m_hz=5e-4 / TWO_PI,
+    g1_hz=0.22389 / TWO_PI, g2_hz=0.283 / TWO_PI, nbar_th=0.2, nbar_photon=1.0,
+)
+
+
+class TestStreamedEvolve:
+    """``evolve`` reduces its states 16 at a time and keeps none of them."""
+
+    @pytest.mark.parametrize("dims, t_final", [
+        ((12,), 1e-3), ((30,), 1e-2), ((4, 6), 10.0),
+    ], ids=["reduced-12", "reduced-30", "bipartite-4x6"])
+    def test_blocks_match_the_whole_grid(self, dims, t_final):
+        if len(dims) == 1:
+            gen = reduced_generator(make_ref(), dims[0])
+            rho0 = thermal_state(dims[0], 0.25)
+        else:
+            gen = bipartite_generator(make_ref(**BIPARTITE), *dims)
+            rho0 = product_state(*(fock_state(d, 0) for d in dims))
+        times, pops, trace, herm, eig, states = whole_grid_evolve(gen, rho0, t_final)
+        res = evolve(gen, rho0, t_final, store_states=True)
+        assert np.array_equal(res.times, times)
+        assert np.array_equal(res.populations, pops)
+        assert np.array_equal(res.hermiticity_errors, herm)
+        assert np.array_equal(res.min_eigenvalues, eig)
+        # np.trace sums a block's diagonal in another order than the
+        # whole stack's, which moves the last bit of some rows
+        assert np.max(np.abs(res.trace_errors - trace)) <= 1e-15
+        assert len(res.snapshots) == len(states)
+        assert all(map(np.array_equal, res.snapshots, states))
+        # copies, not views of the buffer the blocks are written into
+        assert len({s.ctypes.data for s in res.snapshots}) == len(states)
+
+    def test_memory_does_not_grow_with_the_grid(self, ref_params):
+        # a stack of 2001 states at d = 30 is 16 * 2001 * 900 B = 28.8 MB;
+        # the result rows are about 0.5 MB, twice while concatenated
+        gen = reduced_generator(ref_params, 30)
+        rho0 = thermal_state(30, 0.25)
+        evolve(gen, rho0, 1e-3, grid=2)  # imports outside the measurement
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                evolve(gen, rho0, 1e-3, grid=grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2001) - peak(21) < 4e6
 
 
 class TestSteadyState:
